@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .identities import IdentityResult
@@ -48,7 +48,6 @@ CSV_HEADERS = {
 class ReportRow:
     kind: str
     payload: dict
-    schema_version: str = field(default=SCHEMA_VERSION, compare=False)
 
 
 def _sort_key(row: ReportRow):

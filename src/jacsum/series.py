@@ -21,9 +21,17 @@ omitted tail.  Tail bounds:
     and term(K+1).
 
 Refinement doubles K from start+8 until a width or decision goal is met,
-capped at K <= start + 4096.  Each doubling roughly doubles the number of
-correct bits, so the cap is unreachable in practice but guarantees
-termination even if a limit happens to sit exactly on a floor boundary.
+capped at K <= start + 4096.  The cap guarantees termination even if a
+limit happens to sit exactly on a floor boundary, and it is reachable in
+practice: some decisions need K to grow in proportion to n.  The 3.1
+proof-implied bracket, for one, first decides at K = 3n - 3 (measured at
+n = 32, 64, 96 and 128), so under the default cap every even n >= 2050
+stays undecided.
+
+`refine_inverse` is the one loop that inverts enclosures: it skips
+enclosures that straddle zero, takes the reciprocal of the rest and asks
+a caller-supplied judge about it until the judge settles.  Both
+`enclose_inverse` and every theorem claim run through it.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterator, TypeVar
 
 from .intervals import (
     RatInterval,
@@ -52,6 +60,7 @@ __all__ = [
     "enclose_sum",
     "enclosures",
     "partial_sum",
+    "refine_inverse",
     "series_term",
     "tail_bound",
 ]
@@ -222,6 +231,35 @@ class InverseEnclosure:
     sum_enclosure: Enclosure | None
 
 
+_T = TypeVar("_T")
+
+
+def refine_inverse(
+    spec: SeriesSpec,
+    judge: Callable[[RatInterval], _T | None],
+    *,
+    max_terms: int | None = None,
+) -> tuple[_T | None, RatInterval | None, Enclosure | None]:
+    """Refine until `judge` settles on the reciprocal of the sum enclosure.
+
+    Enclosures that straddle zero are skipped; for every other one the
+    judge is asked about the reciprocal interval, and the first result
+    that is not None ends the refinement.  Returns (result, last reciprocal
+    interval, last sum enclosure); result is None when the cap came first.
+    """
+    best: Enclosure | None = None
+    inverse: RatInterval | None = None
+    for enc in enclosures(spec, max_terms=max_terms):
+        best = enc
+        if enc.interval.contains_zero():
+            continue
+        inverse = interval_reciprocal(enc.interval)
+        result = judge(inverse)
+        if result is not None:
+            return result, inverse, enc
+    return None, inverse, best
+
+
 def enclose_inverse(
     spec: SeriesSpec,
     mode: str = "floor",
@@ -236,14 +274,5 @@ def enclose_inverse(
     if mode not in ("floor", "ceil"):
         raise ValueError(f"mode must be 'floor' or 'ceil', got {mode!r}")
     decide = floor_decide if mode == "floor" else ceil_decide
-    best: Enclosure | None = None
-    inverse: RatInterval | None = None
-    for enc in enclosures(spec, max_terms=max_terms):
-        best = enc
-        if enc.interval.contains_zero():
-            continue
-        inverse = interval_reciprocal(enc.interval)
-        value = decide(inverse)
-        if value is not None:
-            return InverseEnclosure(spec, mode, value, inverse, enc)
-    return InverseEnclosure(spec, mode, None, inverse, best)
+    value, inverse, best = refine_inverse(spec, decide, max_terms=max_terms)
+    return InverseEnclosure(spec, mode, value, inverse, best)

@@ -23,6 +23,16 @@ variants and both verdicts are reported:
 When the two variants disagree the pair is flagged (`discrepancy=True`)
 and the notes carry the evidence; nothing is reconciled silently.
 
+Every claim reading is one row of the table `_CLAIMS`: the theorem id and
+variant, the series family, the lowest index and the parity the claim is
+stated for, the integer it compares against (`expected(n)`), a judge that
+decides the claim from the reciprocal of a sum enclosure, and the note for
+rows left undecided.  A claim's rows appear in the order its verifier
+returns them.  All rows run through the one refinement loop,
+`series.refine_inverse`, which refines the sum until the judge settles or
+the `max_terms` budget runs out; the public verifiers are thin views of
+the table.
+
 Every verified/refuted status is backed by the enclosure stored on the
 verdict: the claim holds (or fails) on that entire interval, so the
 verdict can be re-checked from the serialized enclosure alone.  Strict
@@ -35,11 +45,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
-from fractions import Fraction
+from functools import partial
+from typing import Callable
 
-from .intervals import RatInterval, ceil_decide, floor_decide, interval_reciprocal
+from .intervals import RatInterval, ceil_decide, floor_decide
 from .sequence import jacobsthal as J
-from .series import Enclosure, SeriesFamily, SeriesSpec, enclose_inverse, enclosures
+from .series import Enclosure, SeriesFamily, SeriesSpec, refine_inverse
 
 __all__ = [
     "Status",
@@ -82,15 +93,160 @@ class Verdict:
     note: str = ""
 
 
-def _flag_disagreement(a: Verdict, b: Verdict) -> tuple[Verdict, Verdict]:
-    statuses = {a.status, b.status}
-    if Status.VERIFIED in statuses and Status.REFUTED in statuses:
-        stamp = "variants disagree: " + "; ".join(
-            f"{v.variant} {v.status.value}" for v in (a, b)
+# A judge gets (n, expected, reciprocal interval) and returns
+# (status, decided, note) once the claim is settled on the whole interval,
+# or None to keep refining.
+_Judge = Callable[[int, "int | None", RatInterval], "tuple[Status, int | None, str] | None"]
+
+
+@dataclass(frozen=True)
+class _Claim:
+    theorem: str
+    variant: str
+    family: SeriesFamily
+    min_n: int
+    parity: str  # "any", "even" or "odd"
+    expected: Callable[[int], int | None]
+    judge: _Judge
+    undecided: Callable[[int], str]
+
+
+def _settled(ok: bool) -> Status:
+    return Status.VERIFIED if ok else Status.REFUTED
+
+
+def _rounding(
+    mode: str, rule: str, note: str, suffix: Callable[[int], str] = lambda n: ""
+) -> _Judge:
+    """Judge for `floor`/`ceil` of the inverse compared by `rule` ("<=" or "==").
+
+    `note` is formatted with the decided value, the relation found and the
+    expected value; `suffix(n)` is appended to it.
+    """
+
+    def judge(n: int, expected: int, inverse: RatInterval):
+        # looked up per call, so wrappers installed on the module see every decision
+        decided = (floor_decide if mode == "floor" else ceil_decide)(inverse)
+        if decided is None:
+            return None
+        ok = decided <= expected if rule == "<=" else decided == expected
+        op = rule if ok else {"<=": ">", "==": "!="}[rule]
+        return _settled(ok), decided, note.format(decided, op, expected) + suffix(n)
+
+    return judge
+
+
+def _judge_2_1(n: int, expected: int | None, inverse: RatInterval):
+    lo_bound, hi_bound = J(n - 2), 4 * (J(n - 2) + 1)
+    if lo_bound < inverse.lo and inverse.hi < hi_bound:
+        return Status.VERIFIED, None, f"inverse within ({lo_bound}, {hi_bound})"
+    if inverse.hi <= lo_bound or inverse.lo >= hi_bound:
+        return Status.REFUTED, None, f"inverse escapes ({lo_bound}, {hi_bound})"
+    return None
+
+
+_FLOOR_IS_ZERO = _rounding("floor", "==", "floor must equal J(0)J(1) = 0 exactly")
+
+
+def _judge_2_2_proof(n: int, expected: int | None, inverse: RatInterval):
+    # n = 1: J(0)J(1) = 0, so the floor itself must be 0.  n >= 3: the sum
+    # is positive, so sum < 1/(J(n-1)J(n)) is exactly inverse > J(n-1)J(n).
+    if n == 1:
+        return _FLOOR_IS_ZERO(n, expected, inverse)
+    bound = J(n - 1) * J(n)
+    if inverse.lo > bound:
+        return Status.VERIFIED, None, f"sum < 1/(J(n-1)J(n)) = 1/{bound}"
+    if inverse.hi <= bound:
+        return Status.REFUTED, None, f"sum >= 1/(J(n-1)J(n)) = 1/{bound}"
+    return None
+
+
+def _judge_3_1_proof(n: int, expected: int, inverse: RatInterval):
+    # the derivation's strict bracket expected < inverse < expected + 1
+    decided = floor_decide(inverse)
+    if decided is not None and decided != expected:
+        return Status.REFUTED, decided, f"decided floor {decided} != 2^(n-1)-1 = {expected}"
+    if decided == expected and expected < inverse.lo and inverse.hi < expected + 1:
+        return Status.VERIFIED, decided, f"inverse strictly inside ({expected}, {expected + 1})"
+    return None
+
+
+def _coverage_3_3(n: int) -> str:
+    return "" if n >= 5 and n % 2 == 0 else "; outside derivation range (even n >= 5)"
+
+
+def _pow2_less_one(n: int) -> int:
+    return 2 ** (n - 1) - 1
+
+
+_CAP_HIT = "refinement cap hit"
+_FLOOR_OPEN = "floor undecided at refinement cap"
+
+
+_CLAIMS = (
+    _Claim("2.1", "stated", SeriesFamily.RECIP, 2, "any",
+           lambda n: None, _judge_2_1, lambda n: _CAP_HIT),
+    _Claim("2.2", "stated", SeriesFamily.RECIP_SQUARED, 1, "odd",
+           lambda n: J(n - 1) * J(n),
+           _rounding("floor", "<=", "decided floor {} {} J(n-1)J(n) = {}"),
+           lambda n: _FLOOR_OPEN),
+    _Claim("2.2", "proof-implied", SeriesFamily.RECIP_SQUARED, 1, "odd",
+           lambda n: 0 if n == 1 else None, _judge_2_2_proof,
+           lambda n: _FLOOR_OPEN if n == 1 else _CAP_HIT),
+    _Claim("3.1", "proof-implied", SeriesFamily.ALT_RECIP, 1, "even",
+           _pow2_less_one, _judge_3_1_proof, lambda n: _CAP_HIT),
+    _Claim("3.1", "stated", SeriesFamily.ALT_RECIP_SQUARED, 1, "even",
+           _pow2_less_one, _rounding("floor", "==", "squared-series floor {} {} {}"),
+           lambda n: _FLOOR_OPEN),
+    _Claim("3.2", "stated", SeriesFamily.ALT_RECIP, 1, "odd",
+           lambda n: -(2 ** (n - 1) + 1),
+           _rounding("floor", "<=", "decided floor {} {} -(2^(n-1)+1) = {}"),
+           lambda n: _FLOOR_OPEN),
+    _Claim("3.3", "stated", SeriesFamily.ALT_RECIP_SQUARED, 1, "any",
+           lambda n: J(n - 1) ** 2 + J(n) ** 2 - 1,
+           _rounding("ceil", "<=", "decided ceiling {} {} {}", _coverage_3_3),
+           lambda n: "ceiling undecided at refinement cap" + _coverage_3_3(n)),
+)
+
+THEOREM_IDS = tuple(dict.fromkeys(c.theorem for c in _CLAIMS))
+
+
+def _claims(theorem: str) -> list[_Claim]:
+    claims = [c for c in _CLAIMS if c.theorem == theorem]
+    if not claims:
+        raise ValueError(f"unknown theorem id {theorem!r}; expected one of {THEOREM_IDS}")
+    return claims
+
+
+def _has_parity(n: int, parity: str) -> bool:
+    return parity == "any" or n % 2 == (parity == "odd")
+
+
+def _verdicts(theorem: str, n: int, max_terms: int | None) -> tuple[Verdict, ...]:
+    """Every reading of one claim at n, with disagreeing readings flagged.
+
+    n < 1 is rejected, except by a claim stated from a higher index, which
+    answers not-applicable below it.
+    """
+    out = []
+    for c in _claims(theorem):
+        if n < c.min_n or not _has_parity(n, c.parity):
+            if n < 1 and c.min_n == 1:
+                raise ValueError(f"need n >= 1, got {n}")
+            note = f"stated for n >= {c.min_n}" if n < c.min_n else f"stated for {c.parity} n"
+            out.append(Verdict(theorem, n, Status.NOT_APPLICABLE, c.variant, note=note))
+            continue
+        expected = c.expected(n)
+        judged, _, enc = refine_inverse(
+            SeriesSpec(c.family, n), partial(c.judge, n, expected), max_terms=max_terms
         )
-        a = replace(a, discrepancy=True, note=f"{a.note}; {stamp}" if a.note else stamp)
-        b = replace(b, discrepancy=True, note=f"{b.note}; {stamp}" if b.note else stamp)
-    return a, b
+        status, decided, note = judged or (Status.UNDECIDED, None, c.undecided(n))
+        out.append(Verdict(theorem, n, status, c.variant, decided, expected, enc, note=note))
+    if {Status.VERIFIED, Status.REFUTED} <= {v.status for v in out}:
+        stamp = "variants disagree: " + "; ".join(f"{v.variant} {v.status.value}" for v in out)
+        out = [replace(v, discrepancy=True, note=f"{v.note}; {stamp}" if v.note else stamp)
+               for v in out]
+    return tuple(out)
 
 
 def verify_thm_2_1(n: int, *, max_terms: int | None = None) -> Verdict:
@@ -99,35 +255,10 @@ def verify_thm_2_1(n: int, *, max_terms: int | None = None) -> Verdict:
     Verified only when the whole reciprocal interval lies strictly inside
     (J(n-2), 4(J(n-2)+1)); an interval wholly at-or-outside either bound
     refutes.  For n >= 3 this is equivalently the derivation's combined
-    bound 1/(4(J(n-2)+1)) < sum < 1/J(n-2) on the sum side.
+    bound 1/(4(J(n-2)+1)) < sum < 1/J(n-2) on the sum side.  n < 2 yields
+    not-applicable.
     """
-    if n < 2:
-        return Verdict("2.1", n, Status.NOT_APPLICABLE, note="stated for n >= 2")
-    lo_bound = J(n - 2)
-    hi_bound = 4 * (J(n - 2) + 1)
-    last: Enclosure | None = None
-    for enc in enclosures(SeriesSpec(SeriesFamily.RECIP, n), max_terms=max_terms):
-        last = enc
-        if enc.interval.contains_zero():
-            continue
-        inv = interval_reciprocal(enc.interval)
-        if lo_bound < inv.lo and inv.hi < hi_bound:
-            return Verdict(
-                "2.1",
-                n,
-                Status.VERIFIED,
-                enclosure=enc,
-                note=f"inverse within ({lo_bound}, {hi_bound})",
-            )
-        if inv.hi <= lo_bound or inv.lo >= hi_bound:
-            return Verdict(
-                "2.1",
-                n,
-                Status.REFUTED,
-                enclosure=enc,
-                note=f"inverse escapes ({lo_bound}, {hi_bound})",
-            )
-    return Verdict("2.1", n, Status.UNDECIDED, enclosure=last, note="refinement cap hit")
+    return _verdicts("2.1", n, max_terms)[0]
 
 
 def verify_thm_2_2(n: int, *, max_terms: int | None = None) -> tuple[Verdict, Verdict]:
@@ -135,75 +266,7 @@ def verify_thm_2_2(n: int, *, max_terms: int | None = None) -> tuple[Verdict, Ve
 
     Returns (stated, proof-implied).  Even n yields not-applicable.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if n % 2 == 0:
-        na = Verdict("2.2", n, Status.NOT_APPLICABLE, note="stated for odd n")
-        return na, replace(na, variant="proof-implied")
-    spec = SeriesSpec(SeriesFamily.RECIP_SQUARED, n)
-    bound = J(n - 1) * J(n)
-
-    inv = enclose_inverse(spec, "floor", max_terms=max_terms)
-    if inv.decided is None:
-        stated = Verdict(
-            "2.2", n, Status.UNDECIDED, decided=None, expected=bound,
-            enclosure=inv.sum_enclosure, note="floor undecided at refinement cap",
-        )
-    else:
-        ok = inv.decided <= bound
-        stated = Verdict(
-            "2.2",
-            n,
-            Status.VERIFIED if ok else Status.REFUTED,
-            decided=inv.decided,
-            expected=bound,
-            enclosure=inv.sum_enclosure,
-            note=f"decided floor {inv.decided} {'<=' if ok else '>'} J(n-1)J(n) = {bound}",
-        )
-
-    # independent evaluation for the derivation-side claim
-    if n == 1:
-        inv2 = enclose_inverse(spec, "floor", max_terms=max_terms)
-        if inv2.decided is None:
-            proof = Verdict(
-                "2.2", n, Status.UNDECIDED, variant="proof-implied", expected=0,
-                enclosure=inv2.sum_enclosure, note="floor undecided at refinement cap",
-            )
-        else:
-            proof = Verdict(
-                "2.2",
-                n,
-                Status.VERIFIED if inv2.decided == 0 else Status.REFUTED,
-                variant="proof-implied",
-                decided=inv2.decided,
-                expected=0,
-                enclosure=inv2.sum_enclosure,
-                note="floor must equal J(0)J(1) = 0 exactly",
-            )
-    else:
-        target = Fraction(1, bound)
-        proof = None
-        last: Enclosure | None = None
-        for enc in enclosures(spec, max_terms=max_terms):
-            last = enc
-            if enc.interval.hi < target:
-                proof = Verdict(
-                    "2.2", n, Status.VERIFIED, variant="proof-implied",
-                    enclosure=enc, note=f"sum < 1/(J(n-1)J(n)) = 1/{bound}",
-                )
-                break
-            if enc.interval.lo >= target:
-                proof = Verdict(
-                    "2.2", n, Status.REFUTED, variant="proof-implied",
-                    enclosure=enc, note=f"sum >= 1/(J(n-1)J(n)) = 1/{bound}",
-                )
-                break
-        if proof is None:
-            proof = Verdict(
-                "2.2", n, Status.UNDECIDED, variant="proof-implied",
-                enclosure=last, note="refinement cap hit",
-            )
-    return _flag_disagreement(stated, proof)
+    return _verdicts("2.2", n, max_terms)
 
 
 def verify_thm_3_1(n: int, *, max_terms: int | None = None) -> tuple[Verdict, Verdict]:
@@ -216,87 +279,12 @@ def verify_thm_3_1(n: int, *, max_terms: int | None = None) -> tuple[Verdict, Ve
     to hold on the whole interval; the stated variant decides the same
     floor for the squared alternating sum.  Odd n yields not-applicable.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if n % 2 == 1:
-        na = Verdict("3.1", n, Status.NOT_APPLICABLE, variant="proof-implied",
-                     note="stated for even n")
-        return na, replace(na, variant="stated")
-    expected = 2 ** (n - 1) - 1
-
-    proof = None
-    last: Enclosure | None = None
-    for enc in enclosures(SeriesSpec(SeriesFamily.ALT_RECIP, n), max_terms=max_terms):
-        last = enc
-        if enc.interval.contains_zero():
-            continue
-        inv = interval_reciprocal(enc.interval)
-        decided = floor_decide(inv)
-        if decided is not None and decided != expected:
-            proof = Verdict(
-                "3.1", n, Status.REFUTED, variant="proof-implied",
-                decided=decided, expected=expected, enclosure=enc,
-                note=f"decided floor {decided} != 2^(n-1)-1 = {expected}",
-            )
-            break
-        if decided == expected and expected < inv.lo and inv.hi < expected + 1:
-            proof = Verdict(
-                "3.1", n, Status.VERIFIED, variant="proof-implied",
-                decided=decided, expected=expected, enclosure=enc,
-                note=f"inverse strictly inside ({expected}, {expected + 1})",
-            )
-            break
-    if proof is None:
-        proof = Verdict(
-            "3.1", n, Status.UNDECIDED, variant="proof-implied",
-            expected=expected, enclosure=last, note="refinement cap hit",
-        )
-
-    inv2 = enclose_inverse(
-        SeriesSpec(SeriesFamily.ALT_RECIP_SQUARED, n), "floor", max_terms=max_terms
-    )
-    if inv2.decided is None:
-        stated = Verdict(
-            "3.1", n, Status.UNDECIDED, expected=expected,
-            enclosure=inv2.sum_enclosure, note="floor undecided at refinement cap",
-        )
-    else:
-        ok = inv2.decided == expected
-        stated = Verdict(
-            "3.1",
-            n,
-            Status.VERIFIED if ok else Status.REFUTED,
-            decided=inv2.decided,
-            expected=expected,
-            enclosure=inv2.sum_enclosure,
-            note=f"squared-series floor {inv2.decided} {'==' if ok else '!='} {expected}",
-        )
-    return _flag_disagreement(proof, stated)
+    return _verdicts("3.1", n, max_terms)
 
 
 def verify_cor_3_2(n: int, *, max_terms: int | None = None) -> Verdict:
     """Floor bound for the unsquared alternating sum at odd n."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if n % 2 == 0:
-        return Verdict("3.2", n, Status.NOT_APPLICABLE, note="stated for odd n")
-    bound = -(2 ** (n - 1) + 1)
-    inv = enclose_inverse(SeriesSpec(SeriesFamily.ALT_RECIP, n), "floor", max_terms=max_terms)
-    if inv.decided is None:
-        return Verdict(
-            "3.2", n, Status.UNDECIDED, expected=bound,
-            enclosure=inv.sum_enclosure, note="floor undecided at refinement cap",
-        )
-    ok = inv.decided <= bound
-    return Verdict(
-        "3.2",
-        n,
-        Status.VERIFIED if ok else Status.REFUTED,
-        decided=inv.decided,
-        expected=bound,
-        enclosure=inv.sum_enclosure,
-        note=f"decided floor {inv.decided} {'<=' if ok else '>'} -(2^(n-1)+1) = {bound}",
-    )
+    return _verdicts("3.2", n, max_terms)[0]
 
 
 def verify_thm_3_3(n: int, *, max_terms: int | None = None) -> Verdict:
@@ -305,70 +293,15 @@ def verify_thm_3_3(n: int, *, max_terms: int | None = None) -> Verdict:
     The supporting derivation only covers even n >= 5 (its sign step needs
     n >= 5 and the final inequality is drawn for even n), but the claim is
     stated for every positive n, so every index gets a verdict and
-    refutations outside the derivation's range are annotated as such.
+    verdicts outside the derivation's range are annotated as such.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    bound = J(n - 1) ** 2 + J(n) ** 2 - 1
-    coverage = "" if (n >= 5 and n % 2 == 0) else "; outside derivation range (even n >= 5)"
-    inv = enclose_inverse(
-        SeriesSpec(SeriesFamily.ALT_RECIP_SQUARED, n), "ceil", max_terms=max_terms
-    )
-    if inv.decided is None:
-        return Verdict(
-            "3.3", n, Status.UNDECIDED, expected=bound,
-            enclosure=inv.sum_enclosure,
-            note="ceiling undecided at refinement cap" + coverage,
-        )
-    ok = inv.decided <= bound
-    return Verdict(
-        "3.3",
-        n,
-        Status.VERIFIED if ok else Status.REFUTED,
-        decided=inv.decided,
-        expected=bound,
-        enclosure=inv.sum_enclosure,
-        note=f"decided ceiling {inv.decided} {'<=' if ok else '>'} {bound}" + coverage,
-    )
-
-
-THEOREM_IDS = ("2.1", "2.2", "3.1", "3.2", "3.3")
-
-# (min admissible n, parity constraint, variants carried by the pair)
-_ADMISSIBLE = {
-    "2.1": (2, "any", ("stated",)),
-    "2.2": (1, "odd", ("stated", "proof-implied")),
-    "3.1": (2, "even", ("proof-implied", "stated")),
-    "3.2": (1, "odd", ("stated",)),
-    "3.3": (1, "any", ("stated",)),
-}
-
-_DEFAULT_VARIANT = {
-    "2.1": "stated",
-    "2.2": "proof-implied",
-    "3.1": "proof-implied",
-    "3.2": "stated",
-    "3.3": "stated",
-}
+    return _verdicts("3.3", n, max_terms)[0]
 
 
 def default_variant(theorem: str) -> str:
     """Variant verified by default: the one the derivation establishes."""
-    return _DEFAULT_VARIANT[theorem]
-
-
-def _verdicts_for(theorem: str, n: int, max_terms: int | None) -> tuple[Verdict, ...]:
-    if theorem == "2.1":
-        return (verify_thm_2_1(n, max_terms=max_terms),)
-    if theorem == "2.2":
-        return verify_thm_2_2(n, max_terms=max_terms)
-    if theorem == "3.1":
-        return verify_thm_3_1(n, max_terms=max_terms)
-    if theorem == "3.2":
-        return (verify_cor_3_2(n, max_terms=max_terms),)
-    if theorem == "3.3":
-        return (verify_thm_3_3(n, max_terms=max_terms),)
-    raise ValueError(f"unknown theorem id {theorem!r}; expected one of {THEOREM_IDS}")
+    variants = [c.variant for c in _claims(theorem)]
+    return "proof-implied" if "proof-implied" in variants else "stated"
 
 
 def verify_range(
@@ -392,28 +325,17 @@ def verify_range(
         raise ValueError(f"need 1 <= n_lo <= n_hi, got {n_lo}..{n_hi}")
     if parity not in ("any", "even", "odd"):
         raise ValueError(f"parity must be any/even/odd, got {parity!r}")
-    if theorem not in _ADMISSIBLE:
-        raise ValueError(f"unknown theorem id {theorem!r}; expected one of {THEOREM_IDS}")
-    min_n, own_parity, variants = _ADMISSIBLE[theorem]
+    claims = _claims(theorem)
     if variant == "default":
-        variant = _DEFAULT_VARIANT[theorem]
-    if variant != "both" and variant not in variants:
+        variant = default_variant(theorem)
+    if variant != "both" and variant not in [c.variant for c in claims]:
         raise ValueError(f"theorem {theorem} has no {variant!r} variant")
 
-    def admissible(n: int) -> bool:
-        if n < min_n:
-            return False
-        if own_parity == "even" and n % 2 == 1:
-            return False
-        if own_parity == "odd" and n % 2 == 0:
-            return False
-        if parity == "even" and n % 2 == 1:
-            return False
-        if parity == "odd" and n % 2 == 0:
-            return False
-        return True
-
-    indices = [n for n in range(n_lo, n_hi + 1) if admissible(n)]
+    own = claims[0]  # all readings of a claim cover the same indices
+    indices = [
+        n for n in range(n_lo, n_hi + 1)
+        if n >= own.min_n and _has_parity(n, own.parity) and _has_parity(n, parity)
+    ]
     if not indices:
         warnings.warn(
             f"no admissible indices for theorem {theorem} in [{n_lo}, {n_hi}]"
@@ -421,10 +343,9 @@ def verify_range(
             stacklevel=2,
         )
         return []
-    out: list[Verdict] = []
-    for n in indices:
-        for v in _verdicts_for(theorem, n, max_terms):
-            if variant == "both" or v.variant == variant:
-                out.append(v)
+    out = [
+        v for n in indices for v in _verdicts(theorem, n, max_terms)
+        if variant in ("both", v.variant)
+    ]
     out.sort(key=lambda v: (v.n, v.variant))
     return out

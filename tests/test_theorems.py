@@ -193,3 +193,29 @@ def test_undecided_statuses_under_budget():
     assert stated.status is Status.UNDECIDED
     v = verify_thm_3_3(8, max_terms=2)
     assert v.status is Status.UNDECIDED
+
+    floor_note = "floor undecided at refinement cap"
+    # n = 1: the budget admits no enclosure, so neither variant is decided
+    for v, variant in zip(verify_thm_2_2(1, max_terms=1), ("stated", "proof-implied")):
+        assert v.variant == variant and v.status is Status.UNDECIDED
+        assert v.decided is None and v.expected == 0
+        assert v.enclosure is None and v.note == floor_note
+
+    # one term: the floor straddles, while the sum-side bound already holds
+    stated, proof = verify_thm_2_2(3, max_terms=1)
+    assert stated.status is Status.UNDECIDED and stated.expected == 3
+    assert stated.enclosure.terms == 3 and stated.note == floor_note
+    assert proof.status is Status.VERIFIED and proof.expected is None
+    assert proof.enclosure.terms == 3 and proof.note == "sum < 1/(J(n-1)J(n)) = 1/3"
+    assert not stated.discrepancy and not proof.discrepancy
+
+    v = verify_cor_3_2(9, max_terms=2)
+    assert v.status is Status.UNDECIDED and v.decided is None and v.expected == -257
+    assert v.enclosure.terms == 10 and v.note == floor_note
+
+    v = verify_thm_3_3(3, max_terms=1)
+    assert v.status is Status.UNDECIDED and v.decided is None and v.expected == 9
+    assert v.enclosure.terms == 3
+    assert v.note == (
+        "ceiling undecided at refinement cap; outside derivation range (even n >= 5)"
+    )
