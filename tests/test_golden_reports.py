@@ -5,11 +5,19 @@ it writes, together with its exit code, against a pinned value.  The
 reports cover every claim and variant at the default budget and under
 tight `--max-terms` budgets, so the statuses, `decided` and `expected`
 values, notes, enclosures and undecided-row shapes are all pinned.
+
+A second table pins the verdict projection of the same reports: every
+field except the enclosure endpoints `lo` and `hi` (the truncation index
+`terms` stays).  It changes only when a verdict, a note or the truncation
+schedule changes, not when the series arithmetic yields different but
+equally sound endpoints.
 """
 
 import contextlib
+import csv
 import hashlib
 import io
+import json
 
 import pytest
 
@@ -57,8 +65,49 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN, key=str), ids=str)
-def test_verify_report_matches_golden_digest(case):
+# the same cases -> (sha256 of the report without enclosure endpoints, exit code)
+VERDICTS = {
+    ("2.1", 40, None, "json"): ("c699a242f5fecfcf8ea8ff0121508edd64ebd9c97518a9a2859a5e3dc5b85b30", 0),
+    ("2.1", 24, 1, "json"): ("0f8b308bacc5fee3376c27437d3be6f767379aa8f23d3ce4416b69b14b501aed", 3),
+    ("2.1", 24, 2, "json"): ("626b9a1b96ebe1eac7c670b43b75e386f3ef8f69d7c6cc8b68a033a8808543cb", 0),
+    ("2.1", 24, 3, "json"): ("9b6433bf45e529f8fd5d2a73d4f4f2e7f4360a452807b6824563c752e6a92f21", 0),
+    ("2.1", 24, 5, "json"): ("38e9b822ede4ef44d3f84ab0f8b4976bca8e3d1c2edaf8d853c317147bf1bf0c", 0),
+    ("2.1", 24, 9, "json"): ("0cf38378dc36f9569c7fd9d437ef2938ae4b91886393f39118ff958f9231af46", 0),
+    ("2.1", 24, 17, "json"): ("0cf38378dc36f9569c7fd9d437ef2938ae4b91886393f39118ff958f9231af46", 0),
+    ("2.2", 40, None, "json"): ("a25499146544417d294969b096d478f718de352b5e5004a653089061c69b9817", 2),
+    ("2.2", 24, 1, "json"): ("2dbb5fd9e6ce03580c22c17520bb20e0bebb8479a877028c995f9151c6b830ac", 3),
+    ("2.2", 24, 2, "json"): ("6a652e476216b53371dd108588cdeb44de4803ffda8d70094ca7ebd5e960ceaa", 3),
+    ("2.2", 24, 3, "json"): ("bd6f6d71be8823289efba53fecc4d9455cdf32cc6fd909e0f6a768c2bb211299", 2),
+    ("2.2", 24, 5, "json"): ("21f68dca7b2cbf7d43a4d07db2fb308c76541dbfde89cd8f7f681ed14ad23a6a", 2),
+    ("2.2", 24, 9, "json"): ("75f198c9b5a53b29fd86a02aec83d08de298cb0f88b1707f350e156565378c6c", 2),
+    ("2.2", 24, 17, "json"): ("916300e76cbc81f5028d96156fa7ded62a0205ed9ae0ecbc6288b1acb330932f", 2),
+    ("3.1", 40, None, "json"): ("280d1a284e4a911a450fa59a73ccbd550ab7e1553ef193a0e4a8a6c2fdc44147", 2),
+    ("3.1", 24, 1, "json"): ("36c89af9d124f312ab2cb251993eeff66a7849dad3406d0440b73ca05dc6f92d", 3),
+    ("3.1", 24, 2, "json"): ("05ca28ae58b620b75e4c8b0634e69cf09e09180398b90a13006dea384961aa9d", 3),
+    ("3.1", 24, 3, "json"): ("557a74c5187b1fa62a24a5a6ffd2b7a1dd95240273311abb8cd2aa3634325f9b", 2),
+    ("3.1", 24, 5, "json"): ("880343562900ea7204b6f8edec68d9327156b4c764f9c7bb79e2425ec2a8b2cb", 2),
+    ("3.1", 24, 9, "json"): ("88a3837dbacc5460f9d09d2a2e78364db655f72a69c548b02cec1ea58dd797eb", 2),
+    ("3.1", 24, 17, "json"): ("6fb35648de2217974e5e112c85228c8ad5f067d6b919d8cfd49bf9eb61cb6282", 2),
+    ("3.1", 40, None, "plain"): ("f5a6fc821887a27381b58941ee9d9d3b62c90ad0a48f852682c660db9cffb299", 2),
+    ("3.1", 40, None, "csv"): ("3ba6a356b970bc3d3afe4a81e5791492d2ca1ca9ba635f42c76f60c107cd49ff", 2),
+    ("3.2", 40, None, "json"): ("b2311e9b11b5f50ea76e5135993e5cfe7214ce37fe759bba4ceb3a9effb597be", 0),
+    ("3.2", 24, 1, "json"): ("3fa364ebe82d9f3e5eff834db47164e6bae4d6c5fc905c2207761aae1b042ce4", 3),
+    ("3.2", 24, 2, "json"): ("3b58225cbfbc1f03b9ed90ee343a88f5952fed8386917b63efde9a11cc1cae1c", 3),
+    ("3.2", 24, 3, "json"): ("7535733ef0ba68ee4c0088545aff0adddf8c7a8a5cf445efa45ada7b7c9e336c", 3),
+    ("3.2", 24, 5, "json"): ("d94587a27f1f4e2bde8ab206a2e751a47fa2b6a7272a8a23e559cc537dacab41", 3),
+    ("3.2", 24, 9, "json"): ("d429edf204ae1ca8c3f5a47e83ba0f2e8493d3b39e98ca02005b13ecceda2aea", 3),
+    ("3.2", 24, 17, "json"): ("0a39d5d78a8793fcb890960abf57f874526fcf42839f820bb1ffaa7a6bf60a76", 3),
+    ("3.3", 40, None, "json"): ("9bbd1fd7e6f31493d097c1447b8cf1d6d3f910d20ac389262099d7e5665de59c", 2),
+    ("3.3", 24, 1, "json"): ("f1b574562ab3765977aa6cd1c94275680ed53b6f835620544e7cbc90b9c38419", 3),
+    ("3.3", 24, 2, "json"): ("cf72ce7afaf8dc26272eeddad240c732763bbfaf451ac4e93eb30e928a9386a6", 2),
+    ("3.3", 24, 3, "json"): ("e2540c728a9be9bcd8c24d1d67f8284293faf27a0476eaeb1cb9e131d7d0452a", 2),
+    ("3.3", 24, 5, "json"): ("a09c2d3b57b66a5989b91a1ec680ff877a517b89341f24dccea4acb9829f96d1", 2),
+    ("3.3", 24, 9, "json"): ("71fc77f51307af55770c0cf98d5a21890d48b1b9fefb8281c71bb2716759b3c4", 2),
+    ("3.3", 24, 17, "json"): ("20a56b932089c73fc70409e913d947b8af03f7407fcaa0f4d73f3717139cc947", 2),
+}
+
+
+def _run(case) -> tuple[str, int]:
     theorem, hi, max_terms, fmt = case
     argv = ["verify", "--theorem", theorem, "--from", "1", "--to", str(hi),
             "--variant", "both", "--format", fmt]
@@ -67,4 +116,37 @@ def test_verify_report_matches_golden_digest(case):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
-    assert (hashlib.sha256(out.getvalue().encode()).hexdigest(), code) == GOLDEN[case]
+    return out.getvalue(), code
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _without_endpoints(report: str, fmt: str) -> str:
+    """The report with every enclosure's `lo` and `hi` removed."""
+    if fmt == "json":
+        rows = json.loads(report)
+        for row in rows:
+            if row["enclosure"] is not None:
+                del row["enclosure"]["lo"], row["enclosure"]["hi"]
+        return json.dumps(rows, separators=(",", ":"))
+    if fmt == "csv":
+        rows = list(csv.reader(io.StringIO(report)))
+        keep = [i for i, col in enumerate(rows[0]) if col not in ("lo", "hi")]
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([[r[i] for i in keep] for r in rows])
+        return buf.getvalue()
+    return report  # plain reports print `terms` but no endpoints
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN, key=str), ids=str)
+def test_verify_report_matches_golden_digest(case):
+    out, code = _run(case)
+    assert (_sha256(out), code) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(VERDICTS, key=str), ids=str)
+def test_verify_verdicts_match_golden_digest(case):
+    out, code = _run(case)
+    assert (_sha256(_without_endpoints(out, case[3])), code) == VERDICTS[case]
