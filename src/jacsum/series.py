@@ -20,13 +20,24 @@ omitted tail.  Tail bounds:
     term magnitudes strictly decrease (k >= 2): the tail lies between 0
     and term(K+1).
 
+`enclosures` sums on the dyadic grid 2^-p with integers, not with reduced
+fractions, where p = e*K + GUARD_BITS (e = 2 for the squared families,
+1 otherwise).  Each term's magnitude divmod(2^p, J(k)^e) is rounded down
+into the low sum and up into the high sum (for a negative term the pair
+is negated and swapped), and the exact tail bound is rounded outward onto
+the same grid.  Endpoints are therefore exact rationals m / 2^p.  The
+interval is wider than the exact one by at most one grid step per term
+and two for the tail, and it still contains the limit.  Each enclosure is
+intersected with the previous one, so the sequence stays nested.
+`partial_sum`, `series_term` and `tail_bound` remain exact.
+
 Refinement doubles K from start+8 until a width or decision goal is met,
-capped at K <= start + 4096.  The cap guarantees termination even if a
-limit happens to sit exactly on a floor boundary, and it is reachable in
-practice: some decisions need K to grow in proportion to n.  The 3.1
+capped at K <= start + max(4096, 4n).  The cap guarantees termination
+even if a limit happens to sit exactly on a floor boundary.  It grows
+with n because some decisions need K in proportion to n: the 3.1
 proof-implied bracket, for one, first decides at K = 3n - 3 (measured at
-n = 32, 64, 96 and 128), so under the default cap every even n >= 2050
-stays undecided.
+n = 32, 64, 96 and 128), which a fixed start + 4096 would cut off for
+every even n >= 2050.
 
 `refine_inverse` is the one loop that inverts enclosures: it skips
 enclosures that straddle zero, takes the reciprocal of the rest and asks
@@ -67,6 +78,9 @@ __all__ = [
 
 INITIAL_EXTRA_TERMS = 8
 MAX_EXTRA_TERMS = 4096
+# extra bits of the dyadic grid beyond e*K: the rounding error of K terms,
+# at most K * 2^-p, stays far below the tail width of about 2^-(e*K)
+GUARD_BITS = 32
 
 
 class NeedMoreTermsError(ValueError):
@@ -162,34 +176,60 @@ class Enclosure:
 
 def _truncation_cap(spec: SeriesSpec, max_terms: int | None) -> int:
     if max_terms is None:
-        return spec.start + MAX_EXTRA_TERMS
+        return spec.start + max(MAX_EXTRA_TERMS, 4 * spec.start)
     if max_terms < 1:
         raise ValueError(f"max_terms must be >= 1, got {max_terms}")
     return spec.start + max_terms - 1
+
+
+def _dyadic_bounds(spec: SeriesSpec, last: int) -> tuple[int, int, int]:
+    """(lo, hi, p) with lo / 2^p <= limit <= hi / 2^p and p = e*last + GUARD_BITS.
+
+    Each term 1/J(k)^e is floored into `lo` and ceiled into `hi` (negated
+    and swapped for negative terms), then the exact tail bound beyond
+    `last` is rounded outward onto the same grid.
+    """
+    power = 2 if spec.family.squared else 1
+    p = power * last + GUARD_BITS
+    one = 1 << p
+    alternating = spec.family.alternating
+    lo = hi = 0
+    for k in range(spec.start, last + 1):
+        q, r = divmod(one, J(k) ** power)
+        if alternating and k % 2:
+            lo -= q + (r != 0)
+            hi -= q
+        else:
+            lo += q
+            hi += q + (r != 0)
+    tail = tail_bound(spec, last)
+    lo += (tail.lo.numerator << p) // tail.lo.denominator
+    hi -= (-tail.hi.numerator << p) // tail.hi.denominator
+    return lo, hi, p
 
 
 def enclosures(spec: SeriesSpec, *, max_terms: int | None = None) -> Iterator[Enclosure]:
     """Yield successively tighter enclosures at K, 2K, ... up to the cap.
 
     `max_terms` optionally limits how many terms may be summed in total
-    (the default budget is the standard cap start+4096).  If the budget
-    cannot even reach the first valid truncation the iterator is empty;
-    callers then report the result undecided.
+    (the default budget is the cap start + max(4096, 4 * start)).  If the
+    budget cannot even reach the first valid truncation the iterator is
+    empty; callers then report the result undecided.
     """
     cap = _truncation_cap(spec, max_terms)
-    lowest = _min_tail_index(spec)
-    if cap < lowest:
+    if cap < _min_tail_index(spec):
         return
     k = min(spec.start + INITIAL_EXTRA_TERMS, cap)
-    total = partial_sum(spec, k)
+    lo, hi, p = _dyadic_bounds(spec, k)
     while True:
-        yield Enclosure(spec, tail_bound(spec, k).shift(total), k)
+        yield Enclosure(spec, RatInterval(Fraction(lo, 1 << p), Fraction(hi, 1 << p)), k)
         if k >= cap:
             return
-        nxt = min(2 * k, cap)
-        for i in range(k + 1, nxt + 1):
-            total += series_term(spec, i)
-        k = nxt
+        k = min(2 * k, cap)
+        new_lo, new_hi, new_p = _dyadic_bounds(spec, k)
+        # stay nested: intersect with the previous enclosure, moved onto the finer grid
+        shift = new_p - p
+        lo, hi, p = max(new_lo, lo << shift), min(new_hi, hi << shift), new_p
 
 
 def enclose_sum(

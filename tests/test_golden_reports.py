@@ -25,43 +25,43 @@ from jacsum.cli import main
 
 # (theorem, --to, --max-terms or None, --format) -> (sha256 of stdout, exit code)
 GOLDEN = {
-    ("2.1", 40, None, "json"): ("d644472e70bc9a21298259fb1aba76eaa6bce8cc5967f862cf45ade94045afa6", 0),
-    ("2.1", 24, 1, "json"): ("31477fe2c265e755a9d5010a9758e59ea0300d1378c346cac5cafef50b975c8f", 3),
-    ("2.1", 24, 2, "json"): ("c2b8d87f2bb078b9433ca3adf4e4ed523edaff14f38427e827e0c058a23151dd", 0),
-    ("2.1", 24, 3, "json"): ("ff232ba3f6fd97dfe9b9f24f234d1766a7c727e3687f3ee7f613b1b80ecf7e95", 0),
-    ("2.1", 24, 5, "json"): ("bf7df2ef3c7b42dc5a2a6ec1a13a4a28a37ce4c1f592ee3d3e370c3bbb0cc613", 0),
-    ("2.1", 24, 9, "json"): ("ddc692644905e73a45fe9fecfd1301a8819a7386383c6f7bf663a37a2c9e0751", 0),
-    ("2.1", 24, 17, "json"): ("ddc692644905e73a45fe9fecfd1301a8819a7386383c6f7bf663a37a2c9e0751", 0),
-    ("2.2", 40, None, "json"): ("eda4c145e2a09b5d282a00ab24011336355ab1faa0437430b5959c35e4ed8c38", 2),
-    ("2.2", 24, 1, "json"): ("8e7d96952386a036d605fe945d49e15803a4403c2f0a1ae50a6f5e380560effa", 3),
-    ("2.2", 24, 2, "json"): ("eb4b8414ca0d9ea812611960cbb3f5d43c75891ee8849de399625d0af1fae6ad", 3),
-    ("2.2", 24, 3, "json"): ("4875f6aa6da3c93d23b406ecc7ef0e3ed6aa13efd289b4214a15cde257302c7f", 2),
-    ("2.2", 24, 5, "json"): ("a423051493a763434739634c7ed036cf749913fe1f852747a4e8d210f8261e60", 2),
-    ("2.2", 24, 9, "json"): ("ef495185c90cdac239bc0b3eaf30b986b1c7316582a35bd48c431f615e26db24", 2),
-    ("2.2", 24, 17, "json"): ("dfb05bec0c4eaa8596967da385b68f4937a05055a668f8775e94dcd98d100da4", 2),
-    ("3.1", 40, None, "json"): ("e3bda851b1ac998cfdc94c6ac0a4b67cdc5e7282557a1646c1a158c8db630c74", 2),
-    ("3.1", 24, 1, "json"): ("9b26c8665d1e440e9034dd90459aa953602d45f7e5ebd9ecd1096494ee603874", 3),
-    ("3.1", 24, 2, "json"): ("ae0bc15551c380f7505afcf67eb0b310d333beaeb510ff4f349a0a7795c069c3", 3),
-    ("3.1", 24, 3, "json"): ("ae313fc6edd8302f0b02d331ceda0d4318dc52a618ddbbbd5dfa112ddd68a23d", 2),
-    ("3.1", 24, 5, "json"): ("bb93e2081c9cf482de4cea30516a9f16c88ba0e58d37221127f6a8d7c6ef9331", 2),
-    ("3.1", 24, 9, "json"): ("62462c125a75c5c6f237b3a76ec67ec38f7edc2f28611d4b00d637af1a367dc2", 2),
-    ("3.1", 24, 17, "json"): ("e07a3285d27f1805791f4ee08ad37fb92ac15fa5efa2eab8cb2b34e4aed01c2a", 2),
+    ("2.1", 40, None, "json"): ("ae60d847ee2ca193d316ebb85a2c2db6a64bfa615f2658585532a636f1981203", 0),
+    ("2.1", 24, 1, "json"): ("54e21018f8cb52ef0bb81d19ba6cc87024c4db8094f453fc658385ee0ab25658", 3),
+    ("2.1", 24, 2, "json"): ("fe51628a805e4d1ba56136ecc7a3adc64075e9bc570067be8b1eba7b14c8da09", 0),
+    ("2.1", 24, 3, "json"): ("fe40c5da7a03912594043aed5da6714f0f543cea76c1cb006855d643e36d0112", 0),
+    ("2.1", 24, 5, "json"): ("8f424a5d7458da5f37c78280598cc2e0c5693c9df45340626c0439c6b13a857d", 0),
+    ("2.1", 24, 9, "json"): ("d8323d10dc69c6a92bfa51a85d17ff40808d2b7c28b47aa53f522a6b2f38a196", 0),
+    ("2.1", 24, 17, "json"): ("d8323d10dc69c6a92bfa51a85d17ff40808d2b7c28b47aa53f522a6b2f38a196", 0),
+    ("2.2", 40, None, "json"): ("0359022b0d7466099715e8d91fd7b8e3a2376ee6a5ec8a2b738f63cb5dfcd33a", 2),
+    ("2.2", 24, 1, "json"): ("04c81f049c3ce38878b5c89964cd019d5d872dadb9dcd4e0564834f345db7b82", 3),
+    ("2.2", 24, 2, "json"): ("d510597688f28f5a946db481bc6ff09821b2feb4970c6e6c5219df0aa43462b9", 3),
+    ("2.2", 24, 3, "json"): ("51591eb4c281f52d9c364a862b4794cb2eccd5c9a84c6108437438d72132afdd", 2),
+    ("2.2", 24, 5, "json"): ("a2d340d36c33da9d71eee03e37924a28463e69e3185b95b0d2b74d39d7a22a21", 2),
+    ("2.2", 24, 9, "json"): ("4bf75348f8fc30b53fd998fe0963ba06bef45840765336a39af33a3491ebe0dd", 2),
+    ("2.2", 24, 17, "json"): ("185ada48e30a9704b08409cb516682492c8f237004abf89a952f05f2698af301", 2),
+    ("3.1", 40, None, "json"): ("641af2ce4a338704167c5e93f76ebb375ca061a20829dd480af20432e0deb666", 2),
+    ("3.1", 24, 1, "json"): ("bbaa12846b1f74d97acd8caab013c72185577b5006effea0535e6e476fa4a55c", 3),
+    ("3.1", 24, 2, "json"): ("d2183290146b566a7b92a7b8b09f411d42d7e1a7153e0374940a088c341db74f", 3),
+    ("3.1", 24, 3, "json"): ("d77fc70fa587f66521e0054ae50d4f9be1c411771a0efee6cd4f38e7d8fb9bfc", 2),
+    ("3.1", 24, 5, "json"): ("6e773a2bc6e176060d06c6b581c90f41de8dcb9ec0b97fdbe2d9b05bb6bba086", 2),
+    ("3.1", 24, 9, "json"): ("ab7a39f5d4976e22316706a63cb97ef8394773f62d4e5d305f1575ed59d1fe31", 2),
+    ("3.1", 24, 17, "json"): ("751b11ce57ddbd51db7993cf292cee2162b6ea2c75ee692ecc474d2442457e4b", 2),
     ("3.1", 40, None, "plain"): ("f5a6fc821887a27381b58941ee9d9d3b62c90ad0a48f852682c660db9cffb299", 2),
-    ("3.1", 40, None, "csv"): ("0a9e408718779510aa4cdd13a539be11fa0de685d06fb559f76c6b86ce2ef46f", 2),
-    ("3.2", 40, None, "json"): ("44c0bba58c1b1be0d87a5ea20df0a4f165c83da216188ac9e8dddbdf80230772", 0),
-    ("3.2", 24, 1, "json"): ("f72ca174eba80fa935ab5ba85489b508e94fe20d67b70e42748480012925494d", 3),
-    ("3.2", 24, 2, "json"): ("18fa02309a117ba79c40f3712eedfa7f0fde45f31f219b8a376a1bf13dcee63e", 3),
-    ("3.2", 24, 3, "json"): ("c531a3ada49b51ce1135ba9d6cf992d34eb74f1ce7804e0b9c318fa7d6948f82", 3),
-    ("3.2", 24, 5, "json"): ("575dee7cdf52a99e71db53c9abb8462f5e359cafb2d7192cd255bdeb6b0c96ee", 3),
-    ("3.2", 24, 9, "json"): ("776d9e8dd9ea73713b252fbae5fe28f5158c7526c33eeeed5b9cf4f9ade23198", 3),
-    ("3.2", 24, 17, "json"): ("494be88ad00ae5961e8873cfcf05b6fbbb4a80169550e37108853ebc8c4b3d60", 3),
-    ("3.3", 40, None, "json"): ("19f0ba8dd27b69a935be83031c7fc4353348e118a22244acc378d4069ffa2832", 2),
-    ("3.3", 24, 1, "json"): ("d5bd7e9abc21b77077fd41ed55cb4c06b39d2101bbc703f23f8c9aadfad8f661", 3),
-    ("3.3", 24, 2, "json"): ("15024494b0d1f83df7d85241128b2dcd7a28baa99a461d2139c4fa9793bb1a45", 2),
-    ("3.3", 24, 3, "json"): ("9d5ec0c501f18eff27b7a355372717256d7c9953b4d1ed61460b199b44ada0b4", 2),
-    ("3.3", 24, 5, "json"): ("d085d9a9a9d8eb2a41d8cfc63fb5d2adc92aa804b63944431039323452b29a17", 2),
-    ("3.3", 24, 9, "json"): ("a0402cf25f21603e90a9ed59469dacd6422f67da4c8f16baa7e5cae3def56c4b", 2),
-    ("3.3", 24, 17, "json"): ("5c045f057a8d4a3f399fc36543e0ed7f836725e9d805e8013b3e01b213677927", 2),
+    ("3.1", 40, None, "csv"): ("44e4a732ea66ae5b483042bf01084401e85225bd2e41b5b0338bb56252aca471", 2),
+    ("3.2", 40, None, "json"): ("722e96497ea39cb82288d45c52899fd828ff1b7cf7483b606ffd478db6008bf5", 0),
+    ("3.2", 24, 1, "json"): ("c1112b4b040c7d362770e96784e385b74112459f2f310297c69d271df61b88be", 3),
+    ("3.2", 24, 2, "json"): ("bea7efe1083f59aa05681e69c5effb4ae4a611fe1ec8a44508c516ba45861b77", 3),
+    ("3.2", 24, 3, "json"): ("1b81f6b1da89b1ffb2e7bb748c45632dec8207b9fcd9d1242accf3570af11b2c", 3),
+    ("3.2", 24, 5, "json"): ("502fd6953cfaef0c08091c73021ec55f8cfe35d9a6eebeb9162d70b976a2872d", 3),
+    ("3.2", 24, 9, "json"): ("3970256277f4657f18ec1ffaebd142bf9b49664be562935e732ee959a16719ad", 3),
+    ("3.2", 24, 17, "json"): ("b611774553ed9a64f7a89a07272642100e1c8019860c7f62bba633fd647c214f", 3),
+    ("3.3", 40, None, "json"): ("482807a52e118f51f35656d7c10da9a36f29e5623545540aab9ddf3899d34db6", 2),
+    ("3.3", 24, 1, "json"): ("254574e7dc86dff52792c5ae475a8a42812462f06a01aa783024dcd05a74a813", 3),
+    ("3.3", 24, 2, "json"): ("3f9dc2bca3812556a5798fb434428d3b06093407700b9c8470734b958888e14b", 2),
+    ("3.3", 24, 3, "json"): ("a62f0baf12ddd85e3adb734795b833b9a95a2f43c955b5da7d4e70ca1cdca26e", 2),
+    ("3.3", 24, 5, "json"): ("329c86c3b5dbdad732c3800b66cb70fe8b7bcb6edfa18c187989f8b0fc5e6097", 2),
+    ("3.3", 24, 9, "json"): ("3944170893f0562d4055acfec8e238048b4c7c6f2490d51d6fa620ee1b2e9cfa", 2),
+    ("3.3", 24, 17, "json"): ("8c2eec34fc2351ac04f0ba149dc4c33baea96e92dbf8f226dedbfef85387da68", 2),
 }
 
 

@@ -15,6 +15,7 @@ from jacsum import (
     series_term,
     tail_bound,
 )
+from jacsum.series import GUARD_BITS
 
 import oracles
 
@@ -194,3 +195,28 @@ def test_enclosure_serialization_schema():
     assert payload["terms"] == enc.terms
     assert F(payload["lo"]) == enc.interval.lo
     assert F(payload["hi"]) == enc.interval.hi
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
+def test_dyadic_enclosures_match_oracle(family):
+    # differential test of the dyadic kernel against the exact-Fraction oracle
+    power = 2 if family.squared else 1
+    for start in range(1, 129):
+        s = spec(family.value, start)
+        floor = enclose_inverse(s, "floor")
+        ceil = enclose_inverse(s, "ceil")
+        assert floor.decided == oracles.floor_of_inverse(family.value, start)
+        assert ceil.decided == oracles.ceil_of_inverse(family.value, start)
+        lo, hi = oracles.sum_bracket(family.value, start, 3 * start + 200)
+        deepest = max(floor.sum_enclosure.terms, ceil.sum_enclosure.terms)
+        for enc in enclosures(s):
+            assert enc.interval.lo <= lo and hi <= enc.interval.hi
+            # outward rounding: the exact enclosure at the same K lies inside
+            exact = tail_bound(s, enc.terms).shift(oracles.truncation(family.value, start, enc.terms))
+            assert enc.interval.encloses(exact)
+            for end in (enc.interval.lo, enc.interval.hi):
+                d = end.denominator
+                assert d & (d - 1) == 0, "endpoint is not dyadic"
+                assert d.bit_length() - 1 <= power * enc.terms + GUARD_BITS
+            if enc.terms >= deepest:
+                break

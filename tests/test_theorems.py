@@ -94,6 +94,15 @@ def test_thm_3_1_bracket_recheckable():
     assert 2**5 - 1 < inv.lo and inv.hi < 2**5
 
 
+def test_thm_3_1_decides_beyond_the_fixed_budget():
+    # the proof-implied bracket first decides at K = 3n - 3, past start + 4096
+    # here; the default budget start + max(4096, 4n) grows with n
+    proof, stated = verify_thm_3_1(2100)
+    assert proof.status is Status.VERIFIED and proof.decided == 2**2099 - 1
+    assert proof.enclosure.terms == 8432
+    assert stated.status is Status.REFUTED
+
+
 def test_thm_3_1_odd_not_applicable():
     proof, stated = verify_thm_3_1(5)
     assert proof.status is stated.status is Status.NOT_APPLICABLE
