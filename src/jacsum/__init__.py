@@ -6,14 +6,6 @@ floor/ceiling claims about series limits are decided through adaptive
 interval refinement, never through floating point.
 """
 
-import sys as _sys
-
-# Exact enclosures legitimately carry rationals with many thousands of
-# decimal digits; the default int<->str conversion limit would truncate
-# serialization of perfectly valid results.
-if hasattr(_sys, "set_int_max_str_digits"):
-    _sys.set_int_max_str_digits(0)
-
 from .identities import (
     IdentityResult,
     check_cassini,

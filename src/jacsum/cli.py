@@ -12,11 +12,18 @@ Exit codes: 0 all checks verified/decided, 2 at least one refutation or
 failed identity, 3 at least one undecided result (refutation dominates),
 64 usage error.  Output is deterministic: identical invocations produce
 byte-identical reports.
+
+Reports may hold integers longer than the interpreter's default limit on
+int-to-decimal conversion (4300 digits): J(n) for n above about 14000, or
+the denominators of `verify` endpoints from about n = 3600.  `main` lifts
+that limit while it builds and writes a report and restores it
+afterwards; importing the package never changes it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -134,6 +141,20 @@ def _exit_code(rows: list[ReportRow]) -> int:
     return EXIT_OK
 
 
+@contextlib.contextmanager
+def _int_digits_unlimited():
+    """Lift the interpreter's int-to-str digit limit for the enclosed block."""
+    if not hasattr(sys, "get_int_max_str_digits"):  # interpreters without the limit
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -141,6 +162,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
+    with _int_digits_unlimited():
+        return _run(args)
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         if args.command == "seq":
             values = jacobsthal_range(args.lo, args.hi)

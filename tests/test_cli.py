@@ -1,11 +1,14 @@
 import json
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from jacsum import SeriesFamily, SeriesSpec, Status, Verdict, enclose_sum
+from jacsum import (
+    SeriesFamily, SeriesSpec, Status, Verdict, enclose_sum, jacobsthal_closed_form,
+)
 from jacsum.cli import main
 from jacsum.report import emit_report, identity_row, sum_row, verdict_row
 from jacsum.series import Enclosure
@@ -187,3 +190,34 @@ def test_cli_byte_determinism_in_subprocess():
     second = subprocess.run(cmd, capture_output=True)
     assert first.stdout == second.stdout
     assert first.returncode == second.returncode == 2  # stated side refuted from n=3
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="interpreter has no int-to-str digit limit")
+def test_import_keeps_interpreter_digit_limit():
+    code = ("import sys; before = sys.get_int_max_str_digits(); import jacsum;"
+            " print(before, sys.get_int_max_str_digits())")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    before, after = out.stdout.split()
+    assert after == before != "0"
+
+
+def test_seq_prints_integers_beyond_default_digit_limit(capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, _ = run(capsys, "seq", "--from", "20000", "--to", "20000", "--format", "json")
+    assert code == 0
+    [row] = json.loads(out)
+    assert len(row["value"]) > 6000  # above the interpreter's default of 4300 digits
+    # Decimal parses and compares exactly, without the int-to-str digit limit
+    assert Decimal(row["value"]) == jacobsthal_closed_form(20000)
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit  # restored
+
+
+def test_verify_prints_endpoints_beyond_default_digit_limit(capsys):
+    # at n = 3600 the 3.3 enclosure sits on the grid 2^-14464: 4355-digit denominators
+    code, out, _ = run(capsys, "verify", "--theorem", "3.3", "--from", "3600", "--to", "3600",
+                       "--format", "json")
+    assert code == 0
+    [row] = json.loads(out)
+    assert row["status"] == "verified"
+    assert len(row["enclosure"]["lo"].split("/")[1]) > 4300
