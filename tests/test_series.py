@@ -212,8 +212,8 @@ def test_dyadic_enclosures_match_oracle(family):
         for enc in enclosures(s):
             assert enc.interval.lo <= lo and hi <= enc.interval.hi
             # outward rounding: the exact enclosure at the same K lies inside
-            exact = tail_bound(s, enc.terms).shift(oracles.truncation(family.value, start, enc.terms))
-            assert enc.interval.encloses(exact)
+            exact = oracles.truncation(family.value, start, enc.terms)
+            assert enc.interval.encloses(tail_bound(s, enc.terms).shift(exact))
             for end in (enc.interval.lo, enc.interval.hi):
                 d = end.denominator
                 assert d & (d - 1) == 0, "endpoint is not dyadic"
