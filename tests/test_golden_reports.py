@@ -1,4 +1,4 @@
-"""Byte-exact golden digests of `verify` reports.
+"""Byte-exact golden digests of CLI reports.
 
 Each case runs the CLI in-process and compares the SHA-256 of the report
 it writes, together with its exit code, against a pinned value.  The
@@ -11,6 +11,10 @@ field except the enclosure endpoints `lo` and `hi` (the truncation index
 `terms` stays).  It changes only when a verdict, a note or the truncation
 schedule changes, not when the series arithmetic yields different but
 equally sound endpoints.
+
+Two more tables pin the `identities` report, from a few rows up to the
+43k-row sweep `--to 1024 --cassini-max 256`, and the `seq`, `poly` and
+`sum` reports, each in all three formats.
 """
 
 import contextlib
@@ -107,16 +111,56 @@ VERDICTS = {
 }
 
 
+# `identities` reports: (--to, --cassini-max, --format) -> (sha256 of stdout, exit code)
+IDENTITIES = {
+    (1024, 256, "json"): ("2e3caef97e07f00fb2c0ba1bf245f023b31382854c0d089cba62be02bc29978e", 0),
+    (64, 32, "csv"): ("54c89fbdb89f7c68c0a89a49af135309855af8c0bb4171c075379a7a1ee004df", 0),
+    (64, 32, "plain"): ("b99c658a1a1230f0c8a51cecacea38ee83a27ac3f0e6d135009b27a9d6c378da", 0),
+    (2, 3, "json"): ("1d8835c18ecd07a13ad31ac4ce8e523050ef0422b36213bc2e20749984dca509", 0),
+    (2, 3, "csv"): ("ff68ed13a48ac88422039b73e03565d812a54c7e0a134eea27493c46ec85eab5", 0),
+    (2, 3, "plain"): ("ed0da4db018e9b9ec2cb143e479908829ede265c1f2667fa242197ed7eeafac5", 0),
+}
+
+_SEQ = ("seq", "--from", "0", "--to", "200")
+_POLY_3 = ("poly", "--x", "3", "--from", "0", "--to", "60")
+_POLY_M2 = ("poly", "--x", "-2", "--from", "5", "--to", "40")
+_SUM = ("sum", "--family", "alt-recip-squared", "--start", "6", "--width", "1e-30")
+_SUM_CAPPED = ("sum", "--family", "recip", "--start", "4", "--width", "1e-40", "--max-terms", "3")
+
+# (argv without --format, --format) -> (sha256 of stdout, exit code)
+OTHERS = {
+    (_SEQ, "json"): ("f1cd414f4351aeb21da549e84ac745aeed0cceef77a1638a0851bb12548c06a3", 0),
+    (_SEQ, "csv"): ("7a8389f18989ed46b3c9fd59bdb1e13fdcbbd557455816c563d01f8c4cc6332c", 0),
+    (_SEQ, "plain"): ("28c86aa7987c1df7ca5bf9480643f6e88c89183dd34d38328c7ee7651fbf3464", 0),
+    (_POLY_3, "json"): ("0b44441838ce3e14eb498810acd0592e9b9372eff266984c48260230cd3c0069", 0),
+    (_POLY_3, "csv"): ("e6b3106e895c75224ca1468dcb02bbfe5e0f76bd0a036ca9ebfc78cd5cf4ae18", 0),
+    (_POLY_3, "plain"): ("2354b7229f1d06dcfb91488d36ea23a840b7f1de025e18b9ee95c390d6964ad3", 0),
+    (_POLY_M2, "json"): ("76e871f61c59f3b5011157f44374dbb40a270c821f2397a1388e6479ec539086", 0),
+    (_POLY_M2, "csv"): ("6d54cb77193da6a1b33be5695835da5b2e09cb3bd87d3f95d91882143d2fd7be", 0),
+    (_POLY_M2, "plain"): ("fef53d94a5432e0a34a5264b7dbc2285aeeedbd2b4bd75b2814576e3aa28f258", 0),
+    (_SUM, "json"): ("de1e22113739f3001554ed99afc82ba66b5ac9f2619b82f54bcf7a66d4eaf9a2", 0),
+    (_SUM, "csv"): ("182bcca482df0933a630037c86bdf057bc39a8a44fced271d641114384cbb251", 0),
+    (_SUM, "plain"): ("7c0c70b4daf099929cb9f60fd93c187a98b8d42c63a0ebd8270f9083d4565814", 0),
+    (_SUM_CAPPED, "json"): ("de8c0ea8ead1fb8ef521a78ba4538ad2451e0b6e113ec5337d30742718ba7c60", 3),
+    (_SUM_CAPPED, "csv"): ("a730353117ab1f9dd24cb09d70ec53181dc173887e70ac70eaf337f2decd6689", 3),
+    (_SUM_CAPPED, "plain"): ("2f2634994cf616fce4bf4b156f2cf8cf4aa0cedd5162ff410ac17cc4fe6db911", 3),
+}
+
+
+def _main(argv: list[str]) -> tuple[str, int]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return out.getvalue(), code
+
+
 def _run(case) -> tuple[str, int]:
     theorem, hi, max_terms, fmt = case
     argv = ["verify", "--theorem", theorem, "--from", "1", "--to", str(hi),
             "--variant", "both", "--format", fmt]
     if max_terms is not None:
         argv += ["--max-terms", str(max_terms)]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
-    return out.getvalue(), code
+    return _main(argv)
 
 
 def _sha256(text: str) -> str:
@@ -150,3 +194,18 @@ def test_verify_report_matches_golden_digest(case):
 def test_verify_verdicts_match_golden_digest(case):
     out, code = _run(case)
     assert (_sha256(_without_endpoints(out, case[3])), code) == VERDICTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(IDENTITIES), ids=str)
+def test_identities_report_matches_golden_digest(case):
+    to, cassini_max, fmt = case
+    out, code = _main(["identities", "--to", str(to), "--cassini-max", str(cassini_max),
+                       "--format", fmt])
+    assert (_sha256(out), code) == IDENTITIES[case]
+
+
+@pytest.mark.parametrize("case", sorted(OTHERS), ids=lambda c: " ".join([*c[0], c[1]]))
+def test_other_report_matches_golden_digest(case):
+    argv, fmt = case
+    out, code = _main([*argv, "--format", fmt])
+    assert (_sha256(out), code) == OTHERS[case]
