@@ -13,6 +13,13 @@ failed identity, 3 at least one undecided result (refutation dominates),
 64 usage error.  Output is deterministic: identical invocations produce
 byte-identical reports.
 
+Every report is streamed: each command checks its arguments, then hands
+its rows, in report order, to `report.write_report`, which writes each row
+to stdout as it is made and works out the exit code on the way.  A usage
+error therefore prints nothing to stdout.  `identities` and `seq` make
+their rows lazily, so the memory of an `identities` sweep does not grow
+with its row count.
+
 Reports may hold integers longer than the interpreter's default limit on
 int-to-decimal conversion (4300 digits): J(n) for n above about 14000, or
 the denominators of `verify` endpoints from about n = 3600.  `main` lifts
@@ -25,17 +32,19 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
+from collections.abc import Iterable
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
-from .identities import identity_sweep
+from .identities import iter_identities
 from .report import (
     ReportRow,
-    emit_report,
     identity_row,
     sequence_row,
+    sort_rows,
     sum_row,
     verdict_row,
+    write_report,
 )
 from .sequence import jacobsthal_poly, jacobsthal_range
 from .series import SeriesFamily, SeriesSpec, enclose_sum
@@ -43,9 +52,6 @@ from .theorems import THEOREM_IDS, verify_range
 
 __all__ = ["main"]
 
-EXIT_OK = 0
-EXIT_REFUTED = 2
-EXIT_UNDECIDED = 3
 EXIT_USAGE = 64
 
 
@@ -123,24 +129,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _exit_code(rows: list[ReportRow]) -> int:
-    refuted = undecided = False
-    for row in rows:
-        p = row.payload
-        if row.kind == "identity":
-            refuted |= p["verdict"] == "fails"
-        elif row.kind == "sum":
-            undecided |= p["status"] == "undecided"
-        elif row.kind == "verdict":
-            refuted |= p["status"] == "refuted"
-            undecided |= p["status"] == "undecided"
-    if refuted:
-        return EXIT_REFUTED
-    if undecided:
-        return EXIT_UNDECIDED
-    return EXIT_OK
-
-
 @contextlib.contextmanager
 def _int_digits_unlimited():
     """Lift the interpreter's int-to-str digit limit for the enclosed block."""
@@ -168,40 +156,42 @@ def main(argv: list[str] | None = None) -> int:
 
 def _run(args: argparse.Namespace) -> int:
     try:
-        if args.command == "seq":
-            values = jacobsthal_range(args.lo, args.hi)
-            rows = [sequence_row(n, 2, v) for n, v in enumerate(values, start=args.lo)]
-            kind = "sequence"
-        elif args.command == "poly":
-            if not 0 <= args.lo <= args.hi:
-                raise ValueError(f"need 0 <= from <= to, got {args.lo}..{args.hi}")
-            rows = [
-                sequence_row(n, args.x, jacobsthal_poly(n, args.x))
-                for n in range(args.lo, args.hi + 1)
-            ]
-            kind = "sequence"
-        elif args.command == "identities":
-            rows = [identity_row(r) for r in identity_sweep(args.to, args.cassini_max)]
-            kind = "identity"
-        elif args.command == "sum":
-            spec = SeriesSpec(SeriesFamily(args.family), args.start)
-            enc = enclose_sum(spec, args.width, max_terms=args.max_terms)
-            met = enc is not None and enc.interval.width <= args.width
-            rows = [sum_row(spec, enc, args.width, met)]
-            kind = "sum"
-        else:
-            verdicts = verify_range(
-                args.theorem, args.lo, args.hi,
-                parity=args.parity, variant=args.variant, max_terms=args.max_terms,
-            )
-            rows = [verdict_row(v) for v in verdicts]
-            kind = "verdict"
+        rows, kind = _report_rows(args)
     except ValueError as exc:
         print(f"jacsum: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return write_report(rows, args.format, kind, sys.stdout)
 
-    sys.stdout.write(emit_report(rows, args.format, kind))
-    return _exit_code(rows)
+
+def _report_rows(args: argparse.Namespace) -> tuple[Iterable[ReportRow], str]:
+    """The command's rows in report order, and their kind.
+
+    Every argument is checked here, before any row is written; the rows
+    of `seq`, `poly` and `identities` are made lazily, as they are written.
+    """
+    if args.command == "seq":
+        values = jacobsthal_range(args.lo, args.hi)
+        return (sequence_row(n, 2, v) for n, v in enumerate(values, start=args.lo)), "sequence"
+    if args.command == "poly":
+        if not 0 <= args.lo <= args.hi:
+            raise ValueError(f"need 0 <= from <= to, got {args.lo}..{args.hi}")
+        x = args.x
+        return (
+            (sequence_row(n, x, jacobsthal_poly(n, x)) for n in range(args.lo, args.hi + 1)),
+            "sequence",
+        )
+    if args.command == "identities":
+        return map(identity_row, iter_identities(args.to, args.cassini_max)), "identity"
+    if args.command == "sum":
+        spec = SeriesSpec(SeriesFamily(args.family), args.start)
+        enc = enclose_sum(spec, args.width, max_terms=args.max_terms)
+        met = enc is not None and enc.interval.width <= args.width
+        return [sum_row(spec, enc, args.width, met)], "sum"
+    verdicts = verify_range(
+        args.theorem, args.lo, args.hi,
+        parity=args.parity, variant=args.variant, max_terms=args.max_terms,
+    )
+    return sort_rows([verdict_row(v) for v in verdicts]), "verdict"
 
 
 if __name__ == "__main__":

@@ -2,7 +2,9 @@
 
 Each check evaluates both sides of one identity (or one inequality step)
 in exact arithmetic and records the outcome.  Nothing here is approximate:
-`holds` is a statement about fully normalized rationals.
+`holds` is a statement about exact integers or fully normalized rationals.
+Integer-valued sides are kept as `int`; only sides that can be fractional
+(step2.2, lemma1.2c's 2^(n-2) at n = 1) are `Fraction`s.
 
 The catalog ids are stable strings used in reports and sweeps:
 
@@ -24,6 +26,7 @@ The catalog ids are stable strings used in reports and sweeps:
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,6 +44,7 @@ __all__ = [
     "check_step_3_1",
     "check_step_3_3",
     "identity_sweep",
+    "iter_identities",
 ]
 
 
@@ -56,8 +60,8 @@ class IdentityResult:
     identity: str
     n: int
     holds: bool
-    lhs: Fraction
-    rhs: Fraction
+    lhs: Fraction | int
+    rhs: Fraction | int
     relation: str = "=="
     k: int | None = None
     applicable: bool = True
@@ -76,8 +80,8 @@ def _require(cond: bool, msg: str) -> None:
 def check_lemma_1_1(n: int) -> IdentityResult:
     """J(n) + J(n+1) = 2^n; stated for n >= 1, computable at n = 0."""
     _require(n >= 0, f"need n >= 0, got {n}")
-    lhs = Fraction(J(n) + J(n + 1))
-    rhs = Fraction(2**n)
+    lhs = J(n) + J(n + 1)
+    rhs = 2**n
     return IdentityResult(
         "lemma1.1",
         n,
@@ -96,10 +100,17 @@ def check_lemma_1_2(n: int) -> tuple[IdentityResult, IdentityResult, IdentityRes
     not-applicable (2^(n-2) is an exact rational even for n < 2).
     """
     _require(n >= 1, f"need n >= 1, got {n}")
-    jn = Fraction(J(n))
-    a = IdentityResult("lemma1.2a", n, jn < 2**n, jn, Fraction(2**n), relation="<")
-    ub = Fraction(2) ** (n - 1)
-    b = IdentityResult(
+    return _lemma_1_2a(n), _lemma_1_2b(n), _lemma_1_2c(n)
+
+
+def _lemma_1_2a(n: int) -> IdentityResult:
+    jn = J(n)
+    return IdentityResult("lemma1.2a", n, jn < 2**n, jn, 2**n, relation="<")
+
+
+def _lemma_1_2b(n: int) -> IdentityResult:
+    jn, ub = J(n), 2 ** (n - 1)
+    return IdentityResult(
         "lemma1.2b",
         n,
         jn < ub,
@@ -109,8 +120,12 @@ def check_lemma_1_2(n: int) -> tuple[IdentityResult, IdentityResult, IdentityRes
         applicable=n >= 2,
         note="" if n >= 2 else "stated range starts at n=2",
     )
-    lb = Fraction(2) ** (n - 2)
-    c = IdentityResult(
+
+
+def _lemma_1_2c(n: int) -> IdentityResult:
+    jn, ub = J(n), 2 ** (n - 1)
+    lb = 2 ** (n - 2) if n >= 2 else Fraction(1, 2)
+    return IdentityResult(
         "lemma1.2c",
         n,
         lb < jn < ub,
@@ -120,7 +135,6 @@ def check_lemma_1_2(n: int) -> tuple[IdentityResult, IdentityResult, IdentityRes
         applicable=n >= 3,
         note="" if n >= 3 else "stated range starts at n=3",
     )
-    return a, b, c
 
 
 def check_cassini(n: int, k: int) -> IdentityResult:
@@ -130,24 +144,24 @@ def check_cassini(n: int, k: int) -> IdentityResult:
     """
     _require(n >= 1, f"need n >= 1, got {n}")
     _require(1 <= k <= n, f"need 1 <= k <= n, got k={k}, n={n}")
-    lhs = Fraction(J(n + k) * J(n - k) - J(n) ** 2)
-    rhs = Fraction((-1) ** (n - k + 1) * 2 ** (n - k) * J(k) ** 2)
+    lhs = J(n + k) * J(n - k) - J(n) ** 2
+    rhs = (-1) ** (n - k + 1) * 2 ** (n - k) * J(k) ** 2
     return IdentityResult("lemma1.3", n, lhs == rhs, lhs, rhs, k=k)
 
 
 def check_lemma_1_4(n: int) -> IdentityResult:
     """J(n+1)^2 - J(n)^2 = 2^(n+1) J(n-1) for n >= 1."""
     _require(n >= 1, f"need n >= 1, got {n}")
-    lhs = Fraction(J(n + 1) ** 2 - J(n) ** 2)
-    rhs = Fraction(2 ** (n + 1) * J(n - 1))
+    lhs = J(n + 1) ** 2 - J(n) ** 2
+    rhs = 2 ** (n + 1) * J(n - 1)
     return IdentityResult("lemma1.4", n, lhs == rhs, lhs, rhs)
 
 
 def check_lemma_1_5(n: int) -> IdentityResult:
     """J(n+1)^2 + 2 J(n)^2 = J(2n+1) for n >= 1."""
     _require(n >= 1, f"need n >= 1, got {n}")
-    lhs = Fraction(J(n + 1) ** 2 + 2 * J(n) ** 2)
-    rhs = Fraction(J(2 * n + 1))
+    lhs = J(n + 1) ** 2 + 2 * J(n) ** 2
+    rhs = J(2 * n + 1)
     return IdentityResult("lemma1.5", n, lhs == rhs, lhs, rhs)
 
 
@@ -155,7 +169,7 @@ def check_step_2_1(n: int) -> IdentityResult:
     """J(n+1)J(n+3) - J(n)J(n+2) > 0, equivalently
     1/J(n) > 2/J(n+2) + 1/J(n+3); both forms are checked exactly."""
     _require(n >= 1, f"need n >= 1, got {n}")
-    diff = Fraction(J(n + 1) * J(n + 3) - J(n) * J(n + 2))
+    diff = J(n + 1) * J(n + 3) - J(n) * J(n + 2)
     gap = (
         Fraction(1, J(n))
         - Fraction(2, J(n + 2))
@@ -163,7 +177,7 @@ def check_step_2_1(n: int) -> IdentityResult:
     )
     if (diff > 0) != (gap > 0):
         raise RuntimeError(f"step2.1 forms disagree at n={n}: {diff} vs {gap}")
-    return IdentityResult("step2.1", n, diff > 0 and gap > 0, diff, Fraction(0), relation=">")
+    return IdentityResult("step2.1", n, diff > 0 and gap > 0, diff, 0, relation=">")
 
 
 def check_step_2_2(n: int) -> IdentityResult:
@@ -206,11 +220,8 @@ def check_step_3_1(n: int) -> IdentityResult:
     """
     _require(n >= 1, f"need n >= 1, got {n}")
     sign = (-1) ** n
-    lhs = Fraction(
-        -sign * J(n - 1) * J(n + 1) + J(n + 1) - J(n - 1) + sign * J(n) ** 2 + sign
-    )
-    rhs = Fraction(sign)
-    return IdentityResult("step3.1", n, lhs == rhs, lhs, rhs)
+    lhs = -sign * J(n - 1) * J(n + 1) + J(n + 1) - J(n - 1) + sign * J(n) ** 2 + sign
+    return IdentityResult("step3.1", n, lhs == sign, lhs, sign)
 
 
 def check_step_3_3(n: int) -> IdentityResult:
@@ -250,9 +261,7 @@ def check_step_3_3(n: int) -> IdentityResult:
     note = f"value {'<' if direct < 0 else '>=' } 0"
     if n < 5:
         note += "; negativity is claimed only from n=5"
-    return IdentityResult(
-        "step3.3", n, holds, Fraction(direct), Fraction(0), relation="<", note=note
-    )
+    return IdentityResult("step3.3", n, holds, direct, 0, relation="<", note=note)
 
 
 def identity_sweep(max_n: int, cassini_max: int) -> list[IdentityResult]:
@@ -262,21 +271,35 @@ def identity_sweep(max_n: int, cassini_max: int) -> list[IdentityResult]:
     family sweeps all 1 <= k <= n <= cassini_max.  Output order is
     deterministic: by identity id, then n, then k.
     """
+    return list(iter_identities(max_n, cassini_max))
+
+
+def iter_identities(max_n: int, cassini_max: int) -> Iterator[IdentityResult]:
+    """The results of `identity_sweep`, in the same order, one at a time.
+
+    The caps are checked here, before the first result is made; the checks
+    themselves run lazily, so a caller can write each result as it comes
+    without holding the sweep.
+    """
     _require(max_n >= 1, f"need max_n >= 1, got {max_n}")
     _require(cassini_max >= 1, f"need cassini_max >= 1, got {cassini_max}")
-    results: list[IdentityResult] = []
-    for n in range(1, max_n + 1):
-        results.append(check_lemma_1_1(n))
-        results.extend(check_lemma_1_2(n))
-        results.append(check_lemma_1_4(n))
-        results.append(check_lemma_1_5(n))
-        results.append(check_step_2_1(n))
-        if n >= 3:
-            results.append(check_step_2_2(n))
-        results.append(check_step_3_1(n))
-        results.append(check_step_3_3(n))
+    return _catalog(max_n, cassini_max)
+
+
+def _catalog(max_n: int, cassini_max: int) -> Iterator[IdentityResult]:
+    # one block per id, in id order: lemma1.1 < lemma1.2a < ... < lemma1.3
+    # < lemma1.4 < ... < step3.3, each block by n, then k
+    ns = range(1, max_n + 1)
+    yield from map(check_lemma_1_1, ns)
+    yield from map(_lemma_1_2a, ns)
+    yield from map(_lemma_1_2b, ns)
+    yield from map(_lemma_1_2c, ns)
     for n in range(1, cassini_max + 1):
         for k in range(1, n + 1):
-            results.append(check_cassini(n, k))
-    results.sort(key=lambda r: (r.identity, r.n, r.k if r.k is not None else -1))
-    return results
+            yield check_cassini(n, k)
+    yield from map(check_lemma_1_4, ns)
+    yield from map(check_lemma_1_5, ns)
+    yield from map(check_step_2_1, ns)
+    yield from map(check_step_2_2, range(3, max_n + 1))
+    yield from map(check_step_3_1, ns)
+    yield from map(check_step_3_3, ns)

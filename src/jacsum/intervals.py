@@ -29,6 +29,8 @@ class NotInvertibleError(ValueError):
 
 def rat_str(value: RatLike) -> str:
     """Serialize an exact rational as "p/q", omitting "/q" when q = 1."""
+    if type(value) is int:
+        return str(value)
     q = Fraction(value)
     if q.denominator == 1:
         return str(q.numerator)

@@ -4,6 +4,12 @@ Row kinds: sequence, identity, sum, verdict.  Rows sort by
 (kind, id, n, k, variant) and identical inputs always produce
 byte-identical output: rationals are serialized as "p/q" strings and no
 floating point ever reaches JSON or CSV.
+
+`write_report` is the one writer.  It takes rows already in report order,
+from any iterable, writes each row to the output as soon as it is made
+and works out the exit code in the same pass, so a report never has to
+be held in memory whole.  `emit_report` sorts a list of rows and returns
+the report as a string.
 """
 
 from __future__ import annotations
@@ -12,8 +18,10 @@ import csv
 import io
 import json
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TextIO
 
 from .identities import IdentityResult
 from .intervals import rat_str
@@ -21,6 +29,9 @@ from .series import Enclosure, SeriesSpec
 from .theorems import Verdict
 
 __all__ = [
+    "EXIT_OK",
+    "EXIT_REFUTED",
+    "EXIT_UNDECIDED",
     "ReportRow",
     "SCHEMA_VERSION",
     "emit_report",
@@ -29,9 +40,14 @@ __all__ = [
     "sort_rows",
     "sum_row",
     "verdict_row",
+    "write_report",
 ]
 
 SCHEMA_VERSION = "1"
+
+EXIT_OK = 0
+EXIT_REFUTED = 2
+EXIT_UNDECIDED = 3
 
 CSV_HEADERS = {
     "sequence": ["kind", "n", "x", "value"],
@@ -152,62 +168,101 @@ def _approx_decimal(q: Fraction, places: int = 6) -> str:
     return f"{sign}{whole}.{frac:0{places}d}"
 
 
-def _plain_lines(rows: list[ReportRow]) -> list[str]:
-    lines = []
+def _plain_line(row: ReportRow) -> str:
+    p = row.payload
+    if row.kind == "sequence":
+        label = f"J({p['n']})" if p["x"] == 2 else f"P({p['n']}; x={p['x']})"
+        return f"{label} = {p['value']}"
+    if row.kind == "identity":
+        where = f"n={p['n']}" + (f", k={p['k']}" if p["k"] is not None else "")
+        head = f"{p['identity']:<10} {where:<14} {p['verdict']:<14}"
+        detail = f"{p['lhs']} {p['relation']} {p['rhs']}"
+        note = f"  [{p['note']}]" if p["note"] else ""
+        return f"{head} {detail}{note}"
+    if row.kind == "sum":
+        enc = p["enclosure"]
+        if enc is None:
+            return f"{p['family']} from k={p['start']}: {p['status']} (no enclosure in budget)"
+        mid = (Fraction(enc["lo"]) + Fraction(enc["hi"])) / 2
+        return (
+            f"{p['family']} from k={p['start']}: [{enc['lo']}, {enc['hi']}]"
+            f" ~ {_approx_decimal(mid)} (terms to {enc['terms']}, {p['status']})"
+        )
+    enc = p["enclosure"]
+    terms = f"terms={enc['terms']}" if enc else "no enclosure"
+    decided = f" decided={p['decided']}" if p["decided"] is not None else ""
+    expected = f" expected={p['expected']}" if p["expected"] is not None else ""
+    flag = " DISCREPANCY" if p["discrepancy"] else ""
+    note = f"  [{p['note']}]" if p["note"] else ""
+    return (
+        f"theorem {p['theorem']:<4} n={p['n']:<4} {p['variant']:<14}"
+        f" {p['status']:<14}{decided}{expected} {terms}{flag}{note}"
+    )
+
+
+_JSON = json.JSONEncoder(separators=(",", ":"))
+
+
+def _write_json(rows: Iterator[ReportRow], kind: str, out: TextIO) -> None:
+    out.write("[")
+    for i, row in enumerate(rows):
+        if i:
+            out.write(",")
+        out.write(_JSON.encode(row.payload))
+    out.write("]\n")
+
+
+def _write_csv(rows: Iterator[ReportRow], kind: str, out: TextIO) -> None:
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_HEADERS[kind])
     for row in rows:
-        p = row.payload
-        if row.kind == "sequence":
-            label = f"J({p['n']})" if p["x"] == 2 else f"P({p['n']}; x={p['x']})"
-            lines.append(f"{label} = {p['value']}")
-        elif row.kind == "identity":
-            where = f"n={p['n']}" + (f", k={p['k']}" if p["k"] is not None else "")
-            head = f"{p['identity']:<10} {where:<14} {p['verdict']:<14}"
-            detail = f"{p['lhs']} {p['relation']} {p['rhs']}"
-            note = f"  [{p['note']}]" if p["note"] else ""
-            lines.append(f"{head} {detail}{note}")
-        elif row.kind == "sum":
-            enc = p["enclosure"]
-            if enc is None:
-                lines.append(
-                    f"{p['family']} from k={p['start']}: {p['status']} (no enclosure in budget)"
-                )
-            else:
-                mid = (Fraction(enc["lo"]) + Fraction(enc["hi"])) / 2
-                lines.append(
-                    f"{p['family']} from k={p['start']}: [{enc['lo']}, {enc['hi']}]"
-                    f" ~ {_approx_decimal(mid)} (terms to {enc['terms']}, {p['status']})"
-                )
-        else:
-            enc = p["enclosure"]
-            terms = f"terms={enc['terms']}" if enc else "no enclosure"
-            decided = f" decided={p['decided']}" if p["decided"] is not None else ""
-            expected = f" expected={p['expected']}" if p["expected"] is not None else ""
-            flag = " DISCREPANCY" if p["discrepancy"] else ""
-            note = f"  [{p['note']}]" if p["note"] else ""
-            lines.append(
-                f"theorem {p['theorem']:<4} n={p['n']:<4} {p['variant']:<14}"
-                f" {p['status']:<14}{decided}{expected} {terms}{flag}{note}"
-            )
-    return lines
+        writer.writerow(_flatten_for_csv(row))
+
+
+def _write_plain(rows: Iterator[ReportRow], kind: str, out: TextIO) -> None:
+    empty = True
+    for row in rows:
+        out.write(_plain_line(row) + "\n")
+        empty = False
+    if empty:
+        out.write("(no rows)\n")
+
+
+_WRITERS = {"json": _write_json, "csv": _write_csv, "plain": _write_plain}
+
+
+def write_report(rows: Iterable[ReportRow], fmt: str, kind: str, out: TextIO) -> int:
+    """Write rows, already in report order, to `out` in one of json/csv/plain.
+
+    Each row is written as soon as `rows` yields it and nothing keeps it
+    afterwards, so a generator of rows is written in constant memory.
+    `kind` fixes the CSV header even when `rows` is empty; all rows of one
+    report share a kind.  Returns the report's exit code: EXIT_REFUTED if
+    a verdict is refuted or an identity fails, else EXIT_UNDECIDED if a
+    verdict or sum is undecided, else EXIT_OK.
+    """
+    try:
+        write = _WRITERS[fmt]
+    except KeyError:
+        raise ValueError(f"unknown format {fmt!r}") from None
+    refuted = undecided = False
+
+    def tallied() -> Iterator[ReportRow]:
+        nonlocal refuted, undecided
+        for row in rows:
+            status = row.payload.get("status", row.payload.get("verdict"))
+            refuted |= status in ("refuted", "fails")
+            undecided |= status == "undecided"
+            yield row
+
+    write(tallied(), kind, out)
+    if refuted:
+        return EXIT_REFUTED
+    return EXIT_UNDECIDED if undecided else EXIT_OK
 
 
 def emit_report(rows: list[ReportRow], fmt: str, kind: str) -> str:
-    """Render sorted rows in one of json/csv/plain.
-
-    `kind` fixes the CSV header even when `rows` is empty; all rows of one
-    report share a kind.
-    """
-    rows = sort_rows(rows)
-    if fmt == "json":
-        return json.dumps([r.payload for r in rows], separators=(",", ":")) + "\n"
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADERS[kind])
-        for row in rows:
-            writer.writerow(_flatten_for_csv(row))
-        return buf.getvalue()
-    if fmt == "plain":
-        lines = _plain_lines(rows)
-        return "".join(line + "\n" for line in lines) if lines else "(no rows)\n"
-    raise ValueError(f"unknown format {fmt!r}")
+    """Sort `rows` and render them with `write_report`; return the report."""
+    buf = io.StringIO()
+    write_report(sort_rows(rows), fmt, kind, buf)
+    return buf.getvalue()

@@ -63,9 +63,14 @@ def _default_depth(start: int) -> int:
     return 3 * start + 120
 
 
+def _same_strict_sign(lo: Fraction, hi: Fraction) -> bool:
+    # lo * hi > 0, without multiplying two ~250k-bit rationals
+    return (lo > 0 and hi > 0) or (lo < 0 and hi < 0)
+
+
 def floor_of_inverse(family: str, start: int, depth: int | None = None) -> int:
     lo, hi = sum_bracket(family, start, depth or _default_depth(start))
-    assert lo * hi > 0, f"sum bracket straddles zero for {family}@{start}"
+    assert _same_strict_sign(lo, hi), f"sum bracket straddles zero for {family}@{start}"
     f_lo, f_hi = math.floor(1 / hi), math.floor(1 / lo)
     assert f_lo == f_hi, f"oracle floor unstable for {family}@{start}; deepen"
     return f_lo
@@ -73,7 +78,7 @@ def floor_of_inverse(family: str, start: int, depth: int | None = None) -> int:
 
 def ceil_of_inverse(family: str, start: int, depth: int | None = None) -> int:
     lo, hi = sum_bracket(family, start, depth or _default_depth(start))
-    assert lo * hi > 0, f"sum bracket straddles zero for {family}@{start}"
+    assert _same_strict_sign(lo, hi), f"sum bracket straddles zero for {family}@{start}"
     c_lo, c_hi = math.ceil(1 / hi), math.ceil(1 / lo)
     assert c_lo == c_hi, f"oracle ceiling unstable for {family}@{start}; deepen"
     return c_lo

@@ -1,6 +1,8 @@
+import contextlib
 import json
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -138,6 +140,50 @@ def test_usage_errors_exit_64(capsys):
                "--max-terms", "0")[0] == 64
     assert run(capsys, "sum", "--family", "recip", "--start", "0")[0] == 64
     assert run(capsys, "nonsense")[0] == 64
+
+
+@pytest.mark.parametrize("argv", [
+    ["identities", "--to", "0"],
+    ["identities", "--cassini-max", "0"],
+    ["identities", "--to", "-5", "--cassini-max", "3"],
+    ["seq", "--from", "-1", "--to", "3"],
+    ["poly", "--x", "2", "--from", "4", "--to", "3"],
+    ["poly", "--x", "2", "--from", "-1", "--to", "3"],
+], ids=" ".join)
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+def test_bad_ranges_print_nothing_to_stdout(capsys, argv, fmt):
+    # arguments are checked before the first byte of a streamed report goes out
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, out) == (64, "")
+    assert err.startswith("jacsum: error: need")
+
+
+class _CountingSink:
+    """A stdout that keeps nothing but the number of characters written to it."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_identities_report_streams_in_bounded_memory():
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(["identities", "--to", "512", "--cassini-max", "128", "--format", "json"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.chars > 3_000_000  # ASCII JSON: one byte per character
+    assert peak < sink.chars / 4
 
 
 def test_verdict_json_schema_instance():

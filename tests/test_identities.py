@@ -14,6 +14,7 @@ from jacsum import (
     check_step_3_1,
     check_step_3_3,
     identity_sweep,
+    rat_str,
 )
 
 F = Fraction
@@ -177,3 +178,13 @@ def test_sweep_is_deterministic_and_clean():
         "lemma1.1", "lemma1.2a", "lemma1.2b", "lemma1.2c", "lemma1.3",
         "lemma1.4", "lemma1.5", "step2.1", "step2.2", "step3.1", "step3.3",
     }
+
+
+def test_integer_sides_stay_int():
+    for r in identity_sweep(12, 6):
+        if r.identity == "step2.2" or (r.identity == "lemma1.2c" and r.n == 1):
+            continue  # sides that can be fractional: step2.2, and 2^(n-2) = 1/2 at n = 1
+        assert type(r.lhs) is int and type(r.rhs) is int, r
+    assert check_lemma_1_2(1)[2].lhs == F(1, 2)
+    assert rat_str(2**80) == str(2**80) and rat_str(-7) == "-7"
+    assert rat_str(F(6, 3)) == "2" and rat_str(F(-3, 6)) == "-1/2"

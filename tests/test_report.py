@@ -1,0 +1,153 @@
+"""The streaming report writer against the whole-list renderer it replaced."""
+
+import csv
+import io
+import json
+from fractions import Fraction
+
+import pytest
+
+from jacsum import (
+    IdentityResult, SeriesFamily, SeriesSpec, enclose_sum, identity_sweep, verify_range,
+)
+from jacsum.identities import iter_identities
+from jacsum.report import (
+    EXIT_OK,
+    EXIT_REFUTED,
+    EXIT_UNDECIDED,
+    CSV_HEADERS,
+    _flatten_for_csv,
+    _plain_line,
+    emit_report,
+    identity_row,
+    sequence_row,
+    sort_rows,
+    sum_row,
+    verdict_row,
+    write_report,
+)
+
+FORMATS = ("json", "csv", "plain")
+
+
+def _reference(rows, fmt, kind) -> str:
+    """The report as the renderer before streaming built it: whole, in memory."""
+    rows = sort_rows(rows)
+    if fmt == "json":
+        return json.dumps([r.payload for r in rows], separators=(",", ":")) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(CSV_HEADERS[kind])
+        for row in rows:
+            writer.writerow(_flatten_for_csv(row))
+        return buf.getvalue()
+    lines = [_plain_line(row) for row in rows]
+    return "".join(line + "\n" for line in lines) if lines else "(no rows)\n"
+
+
+def _rows_by_kind() -> dict:
+    width = Fraction(1, 10**12)
+    sums = []
+    for family in SeriesFamily:
+        spec = SeriesSpec(family, 3)
+        enc = enclose_sum(spec, width)
+        sums.append(sum_row(spec, enc, width, enc.interval.width <= width))
+    sums.append(sum_row(SeriesSpec(SeriesFamily.RECIP, 1), None, width, False))
+    verdicts = [
+        verdict_row(v)
+        for th in ("2.2", "3.1", "3.3")
+        for v in verify_range(th, 1, 9, variant="both", max_terms=9)
+    ]
+    return {
+        "sequence": [sequence_row(n, 2 + n % 3, 10**n - n) for n in range(12)],
+        "identity": [identity_row(r) for r in identity_sweep(9, 5)],
+        "sum": sums,
+        "verdict": verdicts,
+    }
+
+
+ROWS = _rows_by_kind()
+
+
+def _write(rows, fmt, kind) -> tuple[str, int]:
+    out = io.StringIO()
+    code = write_report(rows, fmt, kind, out)
+    return out.getvalue(), code
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("kind", sorted(ROWS))
+def test_writer_matches_whole_list_renderer(kind, fmt):
+    rows = ROWS[kind]
+    expected = _reference(rows, fmt, kind)
+    # the writer takes rows in report order from any iterable, a generator included
+    assert _write(iter(sort_rows(rows)), fmt, kind)[0] == expected
+    assert emit_report(list(reversed(rows)), fmt, kind) == expected
+
+
+@pytest.mark.parametrize("kind", sorted(ROWS))
+def test_writer_empty_reports(kind):
+    header = ",".join(CSV_HEADERS[kind]) + "\n"
+    assert _write(iter(()), "json", kind) == ("[]\n", EXIT_OK)
+    assert _write(iter(()), "csv", kind) == (header, EXIT_OK)
+    assert _write(iter(()), "plain", kind) == ("(no rows)\n", EXIT_OK)
+    for fmt in FORMATS:
+        assert _write([], fmt, kind)[0] == _reference([], fmt, kind)
+
+
+def test_writer_rejects_unknown_format_before_writing():
+    out = io.StringIO()
+    with pytest.raises(ValueError, match="unknown format"):
+        write_report(iter(ROWS["identity"]), "yaml", "identity", out)
+    assert out.getvalue() == ""
+
+
+def test_writer_writes_each_row_before_the_next_is_made():
+    out = io.StringIO()
+    rows = sort_rows(ROWS["identity"])
+
+    def lazily():
+        for i, row in enumerate(rows):
+            # every row yielded so far is already on the output
+            assert out.getvalue().count('{"identity"') == i
+            yield row
+
+    write_report(lazily(), "json", "identity", out)
+    assert json.loads(out.getvalue()) == [r.payload for r in rows]
+
+
+def test_writer_exit_code_in_the_same_pass():
+    verdicts = ROWS["verdict"]
+    statuses = {r.payload["status"] for r in verdicts}
+    assert {"refuted", "undecided"} <= statuses  # the budget of 9 terms leaves some open
+    undecided = [r for r in verdicts if r.payload["status"] != "refuted"]
+    verified = [r for r in verdicts if r.payload["status"] == "verified"]
+    fails = identity_row(IdentityResult("lemma1.1", 1, False, 3, 2))
+    for fmt in FORMATS:
+        assert _write(verdicts, fmt, "verdict")[1] == EXIT_REFUTED  # refutation dominates
+        assert _write(undecided, fmt, "verdict")[1] == EXIT_UNDECIDED
+        assert _write(verified, fmt, "verdict")[1] == EXIT_OK
+        assert _write(ROWS["identity"], fmt, "identity")[1] == EXIT_OK
+        assert _write([*ROWS["identity"], fails], fmt, "identity")[1] == EXIT_REFUTED
+        assert _write(ROWS["sum"], fmt, "sum")[1] == EXIT_UNDECIDED  # the row without enclosure
+        assert _write(ROWS["sum"][:-1], fmt, "sum")[1] == EXIT_OK
+        assert _write(ROWS["sequence"], fmt, "sequence")[1] == EXIT_OK
+
+
+def test_identity_catalog_comes_in_report_order():
+    # the order that makes sorting the identities report unnecessary
+    for max_n, cassini_max in ((1, 1), (2, 5), (9, 4), (40, 20)):
+        results = list(iter_identities(max_n, cassini_max))
+        key = [(r.identity, r.n, -1 if r.k is None else r.k) for r in results]
+        assert key == sorted(key)
+        assert len(set(key)) == len(key)
+        assert results == identity_sweep(max_n, cassini_max)
+        rows = [identity_row(r) for r in results]
+        assert sort_rows(rows) == rows
+
+
+@pytest.mark.parametrize("max_n, cassini_max", [(0, 1), (1, 0), (-3, 4)])
+def test_identity_catalog_checks_caps_before_the_first_result(max_n, cassini_max):
+    with pytest.raises(ValueError, match="need"):
+        iter_identities(max_n, cassini_max)  # raises on the call, not on iteration
