@@ -54,6 +54,12 @@ __all__ = ["main"]
 
 EXIT_USAGE = 64
 
+# Largest |exponent| a `sum --width` decimal may be written with.  The width
+# digits * 10^exponent is made exact through the integer 10^|exponent|, which
+# at this bound has about 332k bits and takes about 15 ms to build; an
+# unchecked exponent such as 1e-999999999999 would never finish.
+MAX_WIDTH_EXPONENT = 100_000
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse with the usage-error exit code fixed at 64."""
@@ -75,9 +81,16 @@ def _positive_int(text: str) -> int:
 
 def _width_goal(text: str) -> Fraction:
     try:
-        value = Fraction(Decimal(text))
-    except (InvalidOperation, ValueError) as exc:
+        decimal = Decimal(text)
+    except InvalidOperation as exc:
         raise argparse.ArgumentTypeError(f"not a decimal width: {text!r}") from exc
+    if not decimal.is_finite():
+        raise argparse.ArgumentTypeError(f"width must be finite: {text!r}")
+    if abs(decimal.as_tuple().exponent) > MAX_WIDTH_EXPONENT:
+        raise argparse.ArgumentTypeError(
+            f"width exponent beyond +-{MAX_WIDTH_EXPONENT}: {text!r}"
+        )
+    value = Fraction(decimal)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"width must be positive: {text!r}")
     return value
@@ -112,7 +125,8 @@ def _build_parser() -> _Parser:
                    choices=[f.value for f in SeriesFamily])
     p.add_argument("--start", type=int, required=True)
     p.add_argument("--width", type=_width_goal, default="1e-12",
-                   help="decimal width goal, parsed exactly (default 1e-12)")
+                   help="finite decimal width goal, parsed exactly, exponent at most "
+                        f"{MAX_WIDTH_EXPONENT} in magnitude (default 1e-12)")
     p.add_argument("--max-terms", type=_positive_int, default=None)
     add_format(p)
 

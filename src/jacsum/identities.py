@@ -6,6 +6,19 @@ in exact arithmetic and records the outcome.  Nothing here is approximate:
 Integer-valued sides are kept as `int`; only sides that can be fractional
 (step2.2, lemma1.2c's 2^(n-2) at n = 1) are `Fraction`s.
 
+Rational comparisons are made on integers.  step2.1's second form,
+1/J(n) - 2/J(n+2) - 1/J(n+3) > 0, is checked as its numerator over the
+positive common denominator J(n)J(n+2)J(n+3):
+    J(n+2)J(n+3) - 2 J(n)J(n+3) - J(n)J(n+2) > 0.
+step2.2's two sides are compared as numerators over their positive common
+denominator D = J(n-1) J(n)^2 J(n+1)^2 J(n+2); the reported value is one
+reduced `Fraction`, and a separate left side is built only if they differ.
+
+The Cassini right side (-1)^(n-k+1) 2^(n-k) J(k)^2 is J(k)^2 << (n-k),
+negated when n-k is even.  The sweep evaluates it for every 1 <= k <= n
+from one table J(0..2*cassini_max) and one J(n)^2 per n; `check_cassini`
+goes through the same formula.
+
 The catalog ids are stable strings used in reports and sweeps:
 
     lemma1.1   J(n) + J(n+1) = 2^n                       (n >= 1)
@@ -31,6 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .sequence import jacobsthal as J
+from .sequence import jacobsthal_range
 
 __all__ = [
     "IdentityResult",
@@ -48,13 +62,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class IdentityResult:
     """Outcome of one exact identity check.
 
     `holds` means lhs <relation> rhs over exact rationals.  Checks invoked
     outside their stated index range are still computed but are flagged
     `applicable=False`, so sweeps can distinguish vacuous from verified.
+
+    A plain slotted record, cheap to make by the tens of thousands: it is
+    not frozen and, since it compares by value, not hashable.
     """
 
     identity: str
@@ -144,9 +161,26 @@ def check_cassini(n: int, k: int) -> IdentityResult:
     """
     _require(n >= 1, f"need n >= 1, got {n}")
     _require(1 <= k <= n, f"need 1 <= k <= n, got k={k}, n={n}")
-    lhs = J(n + k) * J(n - k) - J(n) ** 2
-    rhs = (-1) ** (n - k + 1) * 2 ** (n - k) * J(k) ** 2
+    return _cassini(n, k, J(n + k) * J(n - k), J(n) ** 2, J(k) ** 2)
+
+
+def _cassini(n: int, k: int, product: int, jn_sq: int, jk_sq: int) -> IdentityResult:
+    # lemma1.3 from J(n+k)J(n-k), J(n)^2 and J(k)^2; (-1)^(n-k+1) is -1 for even n-k
+    lhs = product - jn_sq
+    rhs = jk_sq << (n - k)
+    if not (n - k) & 1:
+        rhs = -rhs
     return IdentityResult("lemma1.3", n, lhs == rhs, lhs, rhs, k=k)
+
+
+def _cassini_sweep(cassini_max: int) -> Iterator[IdentityResult]:
+    # every 1 <= k <= n <= cassini_max, by n then k, from one table J(0..2*cassini_max)
+    js = jacobsthal_range(0, 2 * cassini_max)
+    squares = [j * j for j in js[: cassini_max + 1]]
+    for n in range(1, cassini_max + 1):
+        jn_sq = squares[n]
+        for k in range(1, n + 1):
+            yield _cassini(n, k, js[n + k] * js[n - k], jn_sq, squares[k])
 
 
 def check_lemma_1_4(n: int) -> IdentityResult:
@@ -167,14 +201,12 @@ def check_lemma_1_5(n: int) -> IdentityResult:
 
 def check_step_2_1(n: int) -> IdentityResult:
     """J(n+1)J(n+3) - J(n)J(n+2) > 0, equivalently
-    1/J(n) > 2/J(n+2) + 1/J(n+3); both forms are checked exactly."""
+    1/J(n) > 2/J(n+2) + 1/J(n+3); both forms are checked exactly, the
+    second as its numerator over the positive denominator J(n)J(n+2)J(n+3)."""
     _require(n >= 1, f"need n >= 1, got {n}")
-    diff = J(n + 1) * J(n + 3) - J(n) * J(n + 2)
-    gap = (
-        Fraction(1, J(n))
-        - Fraction(2, J(n + 2))
-        - Fraction(1, J(n + 3))
-    )
+    j0, j1, j2, j3 = J(n), J(n + 1), J(n + 2), J(n + 3)
+    diff = j1 * j3 - j0 * j2
+    gap = j2 * j3 - 2 * j0 * j3 - j0 * j2
     if (diff > 0) != (gap > 0):
         raise RuntimeError(f"step2.1 forms disagree at n={n}: {diff} vs {gap}")
     return IdentityResult("step2.1", n, diff > 0 and gap > 0, diff, 0, relation=">")
@@ -185,24 +217,24 @@ def check_step_2_2(n: int) -> IdentityResult:
 
     1/(J(n-1)J(n)) - 1/J(n)^2 - 2/J(n+1)^2 - 4/(J(n+1)J(n+2)) equals
     (-1)^(n-1) 2^(n-1) J(2n+1) / (J(n-1) J(n)^2 J(n+1)^2 J(n+2)) exactly.
+    Both sides are compared as numerators over that positive denominator.
     Needs J(n-1) > 0, so n >= 2 is computable; the stated range is n >= 3.
     """
     _require(n >= 2, f"need n >= 2 (J(n-1) appears in a denominator), got {n}")
-    lhs = (
-        Fraction(1, J(n - 1) * J(n))
-        - Fraction(1, J(n) ** 2)
-        - Fraction(2, J(n + 1) ** 2)
-        - Fraction(4, J(n + 1) * J(n + 2))
-    )
-    rhs = Fraction(
-        (-1) ** (n - 1) * 2 ** (n - 1) * J(2 * n + 1),
-        J(n - 1) * J(n) ** 2 * J(n + 1) ** 2 * J(n + 2),
-    )
-    sign = "positive" if lhs > 0 else ("negative" if lhs < 0 else "zero")
+    a, b, c, d = J(n - 1), J(n), J(n + 1), J(n + 2)
+    b_sq, c_sq = b * b, c * c
+    denom = a * b_sq * c_sq * d
+    lhs_num = b * c_sq * d - a * c_sq * d - 2 * a * b_sq * d - 4 * a * b_sq * c
+    rhs_num = J(2 * n + 1) << (n - 1)
+    if not n & 1:
+        rhs_num = -rhs_num
+    rhs = Fraction(rhs_num, denom)
+    lhs = rhs if lhs_num == rhs_num else Fraction(lhs_num, denom)
+    sign = "positive" if lhs_num > 0 else ("negative" if lhs_num < 0 else "zero")
     return IdentityResult(
         "step2.2",
         n,
-        lhs == rhs,
+        lhs_num == rhs_num,
         lhs,
         rhs,
         applicable=n >= 3,
@@ -294,9 +326,7 @@ def _catalog(max_n: int, cassini_max: int) -> Iterator[IdentityResult]:
     yield from map(_lemma_1_2a, ns)
     yield from map(_lemma_1_2b, ns)
     yield from map(_lemma_1_2c, ns)
-    for n in range(1, cassini_max + 1):
-        for k in range(1, n + 1):
-            yield check_cassini(n, k)
+    yield from _cassini_sweep(cassini_max)
     yield from map(check_lemma_1_4, ns)
     yield from map(check_lemma_1_5, ns)
     yield from map(check_step_2_1, ns)

@@ -60,7 +60,7 @@ CSV_HEADERS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ReportRow:
     kind: str
     payload: dict
@@ -88,6 +88,7 @@ def sequence_row(n: int, x: int, value: int) -> ReportRow:
 
 def identity_row(res: IdentityResult) -> ReportRow:
     verdict = "not-applicable" if not res.applicable else ("holds" if res.holds else "fails")
+    lhs = rat_str(res.lhs)
     return ReportRow(
         "identity",
         {
@@ -96,8 +97,8 @@ def identity_row(res: IdentityResult) -> ReportRow:
             "k": res.k,
             "verdict": verdict,
             "relation": res.relation,
-            "lhs": rat_str(res.lhs),
-            "rhs": rat_str(res.rhs),
+            "lhs": lhs,
+            "rhs": lhs if res.rhs == res.lhs else rat_str(res.rhs),
             "note": res.note,
         },
     )

@@ -69,11 +69,11 @@ def jacobsthal(n: int) -> int:
 
 
 def jacobsthal_range(lo: int, hi: int) -> list[int]:
-    """[J(lo), ..., J(hi)] inclusive; requires 0 <= lo <= hi."""
+    """[J(lo), ..., J(hi)] inclusive, as a new list; requires 0 <= lo <= hi."""
     if not 0 <= lo <= hi:
         raise ValueError(f"need 0 <= lo <= hi, got lo={lo}, hi={hi}")
     _CACHE.get(hi)
-    return [_CACHE.get(n) for n in range(lo, hi + 1)]
+    return _CACHE._values[lo : hi + 1]
 
 
 def jacobsthal_poly(n: int, x: int) -> int:

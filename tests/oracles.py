@@ -84,6 +84,19 @@ def ceil_of_inverse(family: str, start: int, depth: int | None = None) -> int:
     return c_lo
 
 
+def step_2_1_gap(n: int) -> Fraction:
+    """1/J(n) - 2/J(n+2) - 1/J(n+3), summed as exact rationals."""
+    return Fraction(1, jac(n)) - Fraction(2, jac(n + 2)) - Fraction(1, jac(n + 3))
+
+
+def step_2_2_sides(n: int) -> tuple[Fraction, Fraction]:
+    """Both sides of the squared-series telescoping step, as exact rationals."""
+    a, b, c, d = jac(n - 1), jac(n), jac(n + 1), jac(n + 2)
+    lhs = Fraction(1, a * b) - Fraction(1, b**2) - Fraction(2, c**2) - Fraction(4, c * d)
+    rhs = Fraction((-1) ** (n - 1) * 2 ** (n - 1) * jac(2 * n + 1), a * b**2 * c**2 * d)
+    return lhs, rhs
+
+
 def float_truncation(family: str, start: int, count: int) -> float:
     """Double-precision summation of `count` terms, for midpoint checks."""
     return sum(float(term(family, k)) for k in range(start, start + count))

@@ -11,6 +11,7 @@ import pytest
 from jacsum import (
     SeriesFamily, SeriesSpec, Status, Verdict, enclose_sum, jacobsthal_closed_form,
 )
+from jacsum import cli
 from jacsum.cli import main
 from jacsum.report import emit_report, identity_row, sum_row, verdict_row
 from jacsum.series import Enclosure
@@ -140,6 +141,28 @@ def test_usage_errors_exit_64(capsys):
                "--max-terms", "0")[0] == 64
     assert run(capsys, "sum", "--family", "recip", "--start", "0")[0] == 64
     assert run(capsys, "nonsense")[0] == 64
+
+
+@pytest.mark.parametrize("width, reason", [
+    ("inf", "finite"), ("Infinity", "finite"), ("-Infinity", "finite"), ("nan", "finite"),
+    ("1e-999999999999", "exponent"), ("1e999999999999", "exponent"),
+    ("1e-100001", "exponent"), ("1e100001", "exponent"), ("10e-100001", "exponent"),
+])
+def test_sum_rejects_unbounded_widths_before_building_them(capsys, monkeypatch, width, reason):
+    # argument parsing only: a Fraction built from such a width would hang or crash
+    def no_fraction(*args):
+        raise AssertionError(f"Fraction built for --width {width}")
+
+    monkeypatch.setattr(cli, "Fraction", no_fraction)
+    code, out, err = run(capsys, "sum", "--family", "recip", "--start", "3",
+                         f"--width={width}", "--format", "json")
+    assert (code, out) == (64, "")
+    assert "argument --width" in err and reason in err
+
+
+@pytest.mark.parametrize("width", ["1e-100000", "1e100000", "0.5", "123456e-7"])
+def test_width_exponent_limit_is_inclusive(width):
+    assert cli._width_goal(width) == F(Decimal(width))
 
 
 @pytest.mark.parametrize("argv", [

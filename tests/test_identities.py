@@ -14,8 +14,12 @@ from jacsum import (
     check_step_3_1,
     check_step_3_3,
     identity_sweep,
+    jacobsthal_closed_form,
     rat_str,
 )
+from jacsum.identities import iter_identities
+
+import oracles
 
 F = Fraction
 
@@ -188,3 +192,37 @@ def test_integer_sides_stay_int():
     assert check_lemma_1_2(1)[2].lhs == F(1, 2)
     assert rat_str(2**80) == str(2**80) and rat_str(-7) == "-7"
     assert rat_str(F(6, 3)) == "2" and rat_str(F(-3, 6)) == "-1/2"
+
+
+def test_step_2_1_matches_exact_fraction_form():
+    # the integer numerator must decide exactly as the old Fraction gap did
+    for n in range(1, 301):
+        r = check_step_2_1(n)
+        diff = oracles.jac(n + 1) * oracles.jac(n + 3) - oracles.jac(n) * oracles.jac(n + 2)
+        gap = oracles.step_2_1_gap(n)
+        assert (r.holds, r.lhs, r.rhs, r.note, r.applicable) == (
+            diff > 0 and gap > 0, diff, 0, "", True
+        ), n
+
+
+def test_step_2_2_matches_exact_fraction_form():
+    for n in range(2, 301):
+        r = check_step_2_2(n)
+        lhs, rhs = oracles.step_2_2_sides(n)
+        sign = "positive" if lhs > 0 else ("negative" if lhs < 0 else "zero")
+        note = f"common value {sign}" + ("" if n >= 3 else "; stated range starts at n=3")
+        assert (r.holds, r.lhs, r.rhs, r.note, r.applicable) == (
+            lhs == rhs, lhs, rhs, note, n >= 3
+        ), n
+        assert type(r.lhs) is Fraction and type(r.rhs) is Fraction
+
+
+def test_cassini_sweep_matches_single_checks_and_closed_form():
+    rows = [r for r in iter_identities(64, 64) if r.identity == "lemma1.3"]
+    assert [(r.n, r.k) for r in rows] == [
+        (n, k) for n in range(1, 65) for k in range(1, n + 1)
+    ]
+    for r in rows:
+        n, k = r.n, r.k
+        assert r == check_cassini(n, k)
+        assert r.rhs == (-1) ** (n - k + 1) * 2 ** (n - k) * jacobsthal_closed_form(k) ** 2

@@ -57,7 +57,17 @@ def test_range_examples():
 
 
 def test_range_matches_elementwise():
-    assert jacobsthal_range(5, 40) == [jacobsthal(n) for n in range(5, 41)]
+    for lo, hi in [(5, 40), (0, 0), (0, 70), (1, 1), (9, 9), (13, 200), (150, 600)]:
+        assert jacobsthal_range(lo, hi) == [jacobsthal(n) for n in range(lo, hi + 1)]
+
+
+def test_range_returns_a_copy_of_the_cache():
+    values = jacobsthal_range(3, 12)
+    values[0] = -1
+    values.append(0)
+    del values[1:4]
+    assert jacobsthal(3) == 3 and jacobsthal(4) == 5 and jacobsthal(13) == 2731
+    assert jacobsthal_range(3, 12) == [oracles.jac(n) for n in range(3, 13)]
 
 
 def test_range_rejects_bad_bounds():
