@@ -20,11 +20,20 @@ error therefore prints nothing to stdout.  `identities` and `seq` make
 their rows lazily, so the memory of an `identities` sweep does not grow
 with its row count.
 
+Arguments whose size alone would exhaust memory are rejected while they
+are parsed, with exit 64: `seq --to` and `poly --to` beyond
+MAX_SEQ_INDEX, `identities --to` and `--cassini-max` beyond
+MAX_IDENTITY_INDEX, and `sum --width` written with an exponent beyond
+MAX_WIDTH_EXPONENT.
+
 Reports may hold integers longer than the interpreter's default limit on
 int-to-decimal conversion (4300 digits): J(n) for n above about 14000, or
-the denominators of `verify` endpoints from about n = 3600.  `main` lifts
-that limit while it builds and writes a report and restores it
-afterwards; importing the package never changes it.
+the denominators of `verify` endpoints from about n = 3600.  Endpoints
+and verdict notes are converted by `intervals.int_str`, which works under
+any limit; the bare integers of `seq` values and of `decided`/`expected`
+are not.  `main` therefore lifts that limit while it builds and writes a
+report and restores it afterwards; importing the package never changes
+it.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
@@ -60,6 +69,14 @@ EXIT_USAGE = 64
 # unchecked exponent such as 1e-999999999999 would never finish.
 MAX_WIDTH_EXPONENT = 100_000
 
+# Largest `seq --to` and `poly --to`.  `seq` holds J(0..to) before it
+# prints, about to^2/2 bits: some 60 MB at this bound, 60 GB at 10^6.
+MAX_SEQ_INDEX = 30_000
+# Largest `identities --to` and `--cassini-max`.  The sweep reads J up to
+# about twice either one and the cache keeps every J below that, about
+# 2 * to^2 bits: some 27 MB at this bound.
+MAX_IDENTITY_INDEX = 10_000
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse with the usage-error exit code fixed at 64."""
@@ -69,14 +86,30 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
+def _integer(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+
+
+def _positive_int(text: str) -> int:
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1: {text!r}")
     return value
+
+
+def _at_most(limit: int) -> Callable[[str], int]:
+    """Argument type: an integer no larger than `limit`."""
+
+    def parse(text: str) -> int:
+        value = _integer(text)
+        if value > limit:
+            raise argparse.ArgumentTypeError(f"must be <= {limit}: {text!r}")
+        return value
+
+    return parse
 
 
 def _width_goal(text: str) -> Fraction:
@@ -105,19 +138,22 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("seq", help="Jacobsthal numbers J(from)..J(to)")
     p.add_argument("--from", dest="lo", type=int, default=0)
-    p.add_argument("--to", dest="hi", type=int, required=True)
+    p.add_argument("--to", dest="hi", type=_at_most(MAX_SEQ_INDEX), required=True,
+                   help=f"last index, at most {MAX_SEQ_INDEX}")
     add_format(p)
 
     p = sub.add_parser("poly", help="Jacobsthal polynomial values at integer x")
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--from", dest="lo", type=int, default=0)
-    p.add_argument("--to", dest="hi", type=int, required=True)
+    p.add_argument("--to", dest="hi", type=_at_most(MAX_SEQ_INDEX), required=True,
+                   help=f"last index, at most {MAX_SEQ_INDEX}")
     add_format(p)
 
     p = sub.add_parser("identities", help="exact identity sweep")
-    p.add_argument("--to", type=int, default=64, help="sweep n = 1..TO")
-    p.add_argument("--cassini-max", type=int, default=32,
-                   help="Cassini offsets over 1 <= k <= n <= M")
+    p.add_argument("--to", type=_at_most(MAX_IDENTITY_INDEX), default=64,
+                   help=f"sweep n = 1..TO, TO at most {MAX_IDENTITY_INDEX}")
+    p.add_argument("--cassini-max", type=_at_most(MAX_IDENTITY_INDEX), default=32,
+                   help=f"Cassini offsets over 1 <= k <= n <= M, M at most {MAX_IDENTITY_INDEX}")
     add_format(p)
 
     p = sub.add_parser("sum", help="rigorous enclosure of one series")

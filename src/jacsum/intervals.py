@@ -16,6 +16,7 @@ __all__ = [
     "RatInterval",
     "ceil_decide",
     "floor_decide",
+    "int_str",
     "interval_reciprocal",
     "rat_str",
 ]
@@ -27,14 +28,45 @@ class NotInvertibleError(ValueError):
     """The interval contains zero, so it has no bounded reciprocal image."""
 
 
+# int_str converts 10^_CHUNK at a time; CPython never sets its int-to-str
+# digit limit below 640, so str() of one chunk always succeeds
+_CHUNK = 500
+_CHUNK_BASE = 10**_CHUNK
+
+
+def int_str(value: int) -> str:
+    """Decimal form of an integer of any size, whatever the digit limit.
+
+    Pure and thread-safe: the interpreter's int-to-str limit (4300 digits
+    by default) is neither read nor changed.
+    """
+    if value < 0:
+        return "-" + int_str(-value)
+    chunks = []
+    while value >= _CHUNK_BASE:
+        value, low = divmod(value, _CHUNK_BASE)
+        chunks.append(str(low).zfill(_CHUNK))
+    chunks.append(str(value))
+    return "".join(reversed(chunks))
+
+
 def rat_str(value: RatLike) -> str:
-    """Serialize an exact rational as "p/q", omitting "/q" when q = 1."""
+    """Serialize an exact rational as "p/q", omitting "/q" when q = 1.
+
+    Parts too long for str() under the int-to-str digit limit go through
+    int_str; the common short case pays for no extra call.
+    """
     if type(value) is int:
-        return str(value)
+        try:
+            return str(value)
+        except ValueError:
+            return int_str(value)
     q = Fraction(value)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    num, den = q.numerator, q.denominator
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:
+        return int_str(num) if den == 1 else f"{int_str(num)}/{int_str(den)}"
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ def jacobsthal_closed_form(n: int) -> int:
     """
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
-    return (2**n - (-1) ** n) // 3
+    return ((1 << n) - (-1 if n % 2 else 1)) // 3
 
 
 class SequenceCache:

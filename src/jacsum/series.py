@@ -22,14 +22,45 @@ omitted tail.  Tail bounds:
 
 `enclosures` sums on the dyadic grid 2^-p with integers, not with reduced
 fractions, where p = e*K + GUARD_BITS (e = 2 for the squared families,
-1 otherwise).  Each term's magnitude divmod(2^p, J(k)^e) is rounded down
-into the low sum and up into the high sum (for a negative term the pair
-is negated and swapped), and the exact tail bound is rounded outward onto
-the same grid.  Endpoints are therefore exact rationals m / 2^p.  The
-interval is wider than the exact one by at most one grid step per term
-and two for the tail, and it still contains the limit.  Each enclosure is
-intersected with the previous one, so the sequence stays nested.
-`partial_sum`, `series_term` and `tail_bound` remain exact.
+1 otherwise).  Each term's magnitude 2^p / J(k)^e is rounded down into
+the low sum and up into the high sum (for a negative term the pair is
+negated and swapped), and the exact tail bound is rounded outward onto
+the same grid.  Endpoints are therefore exact rationals m / 2^p, and the
+interval still contains the limit.  Each enclosure is intersected with
+the previous one, so the sequence stays nested.  `partial_sum`,
+`series_term` and `tail_bound` remain exact.
+
+The rounded terms come from the Lambert expansions, not from one long
+division per term.  With s = (-1)^k, 3 J(k) = 2^k - s, so
+
+    1/J(k)   = 3 sum_{j>=1} s^(j-1) 2^(-kj)
+    1/J(k)^2 = 9 sum_{j>=1} j s^(j-1) 2^(-k(j+1))
+
+With m = p // k and r = p mod k, the terms of the expansion of
+2^p / J(k)^e that are integers (j <= m, resp. j <= m - 1) sum to I_k,
+and the rest sum exactly to
+
+    linear:   R_k = s^m 2^r / J(k)
+    squared:  R_k = s^(m-1) 2^r (m 2^k - (m-1) s) / J(k)^2
+
+so floor(2^p / J(k)^e) = I_k + floor(R_k).  R_k is never 0 and has the
+sign of s^m (resp. s^(m-1)).  For k >= 3, |R_k| < 1 unless r = k - 1
+(linear) or r + bitlen(9(m+1)) + 2 > k (squared).  Where |R_k| < 1,
+floor(R_k) is 0 or -1 by that sign; elsewhere one division of integers
+of about 2k bits settles it.  J(k) is odd and above 1 there, so the
+ceiling is the floor plus one.
+
+Over k0 <= k <= K, with k0 = max(start, isqrt(p)), the integer parts are
+summed by j: for each j the sum over k of +-2^(p-kd) (d = j, resp. j + 1)
+is geometric, one exact division by 2^d -+ 1.  The floors of R_k are
+counted over the O(sqrt(p)) blocks of k that share m.  So a pass costs
+O(p / k0) operations on p-bit integers plus O(sqrt(p)) small steps,
+where the per-term long division cost O(p k) bit operations for every
+term, O(p K^2) per pass.  Terms below k0 are still divided one by one;
+their divisors have at most e * isqrt(p) bits.  A pass that would expand
+no more than _DIVISIONS_PER_STEP terms per geometric sum, such as an
+early pass of a small start, divides every term instead, because there
+the divisions are cheaper.
 
 Refinement doubles K from start+8 until a width or decision goal is met,
 capped at K <= start + max(4096, 4n).  The cap guarantees termination
@@ -47,6 +78,7 @@ a caller-supplied judge about it until the judge settles.  Both
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -59,7 +91,7 @@ from .intervals import (
     interval_reciprocal,
     rat_str,
 )
-from .sequence import jacobsthal as J
+from .sequence import jacobsthal as J, jacobsthal_closed_form
 
 __all__ = [
     "Enclosure",
@@ -81,6 +113,11 @@ MAX_EXTRA_TERMS = 4096
 # extra bits of the dyadic grid beyond e*K: the rounding error of K terms,
 # at most K * 2^-p, stays far below the tail width of about 2^-(e*K)
 GUARD_BITS = 32
+# The expansion of the terms k0..K takes about p // k0 geometric sums and as
+# many blocks; each step costs about five divisions of the small passes
+# (CPython 3.11, p < 300 bits).  A pass expands only when it replaces more
+# divisions than that; otherwise it divides every term.
+_DIVISIONS_PER_STEP = 5
 
 
 class NeedMoreTermsError(ValueError):
@@ -151,7 +188,9 @@ def tail_bound(spec: SeriesSpec, last: int) -> RatInterval:
         return RatInterval(Fraction(2) ** (1 - last), Fraction(2) ** (2 - last))
     if spec.family is SeriesFamily.RECIP_SQUARED:
         return RatInterval(Fraction(4) ** (1 - last) / 3, Fraction(4) ** (2 - last) / 3)
-    t = series_term(spec, last + 1)
+    # the first omitted term, from the closed form: no cache growth to `last`
+    j = jacobsthal_closed_form(last + 1)
+    t = Fraction((-1) ** (last + 1), j * j if spec.family.squared else j)
     return RatInterval(min(Fraction(0), t), max(Fraction(0), t))
 
 
@@ -182,19 +221,81 @@ def _truncation_cap(spec: SeriesSpec, max_terms: int | None) -> int:
     return spec.start + max_terms - 1
 
 
+def _geometric(p: int, a: int, b: int, d: int, eps: int) -> int:
+    """sum_{k=a..b} eps^k 2^(p - k*d), exactly, for eps = +-1 and p >= b*d."""
+    n = b - a + 1
+    if eps > 0:
+        g = ((1 << n * d) - 1) // ((1 << d) - 1)
+    else:
+        g = ((1 << n * d) - (-1) ** n) // ((1 << d) + 1)
+        if a % 2:
+            g = -g
+    return g << (p - b * d)
+
+
+def _lambert_floors(family: SeriesFamily, p: int, k0: int, last: int) -> int:
+    """sum over k0 <= k <= last of sign(k) * floor(2^p / J(k)^e); needs k0 >= 3.
+
+    floor(2^p / J(k)^e) is the integer part of the Lambert expansion plus
+    floor(R_k); see the module docstring.
+    """
+    squared, alternating = family.squared, family.alternating
+    e = 2 if squared else 1
+    # integer parts, by j: term j of k is 3 (resp. 9j) sign(k) s^(j-1) 2^(p-kd)
+    # with d = j + e - 1, an integer for k <= p // d, and sign(k) s^(j-1) is
+    # eps^k with eps = (-1)^(j-1+alt), so the sum over k is geometric
+    total = 0
+    for d in range(e, p // k0 + 1):
+        j = d - e + 1
+        eps = -1 if (j - 1 + alternating) % 2 else 1
+        g = _geometric(p, k0, min(last, p // d), d, eps)
+        total += 9 * j * g if squared else 3 * g
+    # floor(R_k), over the blocks of k that share m = p // k
+    k = k0
+    while k <= last:
+        m = p // k
+        b = min(last, p // m)
+        t = m - 1 if squared else m  # R_k has the sign of s^t, s = (-1)^k
+        # |R_k| < 1 once (m + 1) * k >= p + slack; below that, one small division
+        slack = (9 * (m + 1)).bit_length() + 2 if squared else 2
+        c = min(b, (p + slack - 1) // (m + 1))
+        for i in range(k, c + 1):
+            s = -1 if i % 2 else 1
+            if squared:
+                num = 9 * (m * (1 << i) - t * s) << (p - m * i)
+                den = ((1 << i) - s) ** 2
+            else:
+                num, den = 3 << (p - m * i), (1 << i) - s
+            f = (-num if s < 0 and t % 2 else num) // den
+            total += -f if alternating and s < 0 else f
+        # the rest have 0 < |R_k| < 1: floor(R_k) is -1 for odd k if t is odd, else 0
+        if t % 2:
+            odd = (b + 1) // 2 - max(k, c + 1) // 2
+            total += odd if alternating else -odd
+        k = b + 1
+    return total
+
+
 def _dyadic_bounds(spec: SeriesSpec, last: int) -> tuple[int, int, int]:
     """(lo, hi, p) with lo / 2^p <= limit <= hi / 2^p and p = e*last + GUARD_BITS.
 
     Each term 1/J(k)^e is floored into `lo` and ceiled into `hi` (negated
     and swapped for negative terms), then the exact tail bound beyond
-    `last` is rounded outward onto the same grid.
+    `last` is rounded outward onto the same grid.  Terms below
+    k0 = max(start, isqrt(p)) are divided out one by one; the rest come
+    from `_lambert_floors`, and for them (k >= 5, J(k) > 1) the ceiling
+    is the floor plus one.  A pass with too few terms from k0 on divides
+    them all.
     """
     power = 2 if spec.family.squared else 1
     p = power * last + GUARD_BITS
     one = 1 << p
     alternating = spec.family.alternating
+    k0 = max(spec.start, math.isqrt(p))  # p >= 33, so k0 >= 5
+    if last - k0 + 1 <= _DIVISIONS_PER_STEP * (p // k0):
+        k0 = last + 1  # too few terms to pay for the expansion's steps
     lo = hi = 0
-    for k in range(spec.start, last + 1):
+    for k in range(spec.start, min(k0, last + 1)):
         q, r = divmod(one, J(k) ** power)
         if alternating and k % 2:
             lo -= q + (r != 0)
@@ -202,6 +303,11 @@ def _dyadic_bounds(spec: SeriesSpec, last: int) -> tuple[int, int, int]:
         else:
             lo += q
             hi += q + (r != 0)
+    if k0 <= last:
+        floors = _lambert_floors(spec.family, p, k0, last)
+        negative = (last + 1) // 2 - k0 // 2 if alternating else 0
+        lo += floors - negative
+        hi += floors + (last - k0 + 1 - negative)
     tail = tail_bound(spec, last)
     lo += (tail.lo.numerator << p) // tail.lo.denominator
     hi -= (-tail.hi.numerator << p) // tail.hi.denominator

@@ -48,7 +48,7 @@ from enum import Enum
 from functools import partial
 from typing import Callable
 
-from .intervals import RatInterval, ceil_decide, floor_decide
+from .intervals import RatInterval, ceil_decide, floor_decide, int_str
 from .sequence import jacobsthal as J
 from .series import Enclosure, SeriesFamily, SeriesSpec, refine_inverse
 
@@ -131,7 +131,8 @@ def _rounding(
             return None
         ok = decided <= expected if rule == "<=" else decided == expected
         op = rule if ok else {"<=": ">", "==": "!="}[rule]
-        return _settled(ok), decided, note.format(decided, op, expected) + suffix(n)
+        text = note.format(int_str(decided), op, int_str(expected))
+        return _settled(ok), decided, text + suffix(n)
 
     return judge
 
@@ -139,10 +140,12 @@ def _rounding(
 def _judge_2_1(n: int, expected: int | None, inverse: RatInterval):
     lo_bound, hi_bound = J(n - 2), 4 * (J(n - 2) + 1)
     if lo_bound < inverse.lo and inverse.hi < hi_bound:
-        return Status.VERIFIED, None, f"inverse within ({lo_bound}, {hi_bound})"
-    if inverse.hi <= lo_bound or inverse.lo >= hi_bound:
-        return Status.REFUTED, None, f"inverse escapes ({lo_bound}, {hi_bound})"
-    return None
+        status, relation = Status.VERIFIED, "within"
+    elif inverse.hi <= lo_bound or inverse.lo >= hi_bound:
+        status, relation = Status.REFUTED, "escapes"
+    else:
+        return None
+    return status, None, f"inverse {relation} ({int_str(lo_bound)}, {int_str(hi_bound)})"
 
 
 _FLOOR_IS_ZERO = _rounding("floor", "==", "floor must equal J(0)J(1) = 0 exactly")
@@ -155,9 +158,9 @@ def _judge_2_2_proof(n: int, expected: int | None, inverse: RatInterval):
         return _FLOOR_IS_ZERO(n, expected, inverse)
     bound = J(n - 1) * J(n)
     if inverse.lo > bound:
-        return Status.VERIFIED, None, f"sum < 1/(J(n-1)J(n)) = 1/{bound}"
+        return Status.VERIFIED, None, f"sum < 1/(J(n-1)J(n)) = 1/{int_str(bound)}"
     if inverse.hi <= bound:
-        return Status.REFUTED, None, f"sum >= 1/(J(n-1)J(n)) = 1/{bound}"
+        return Status.REFUTED, None, f"sum >= 1/(J(n-1)J(n)) = 1/{int_str(bound)}"
     return None
 
 
@@ -165,9 +168,11 @@ def _judge_3_1_proof(n: int, expected: int, inverse: RatInterval):
     # the derivation's strict bracket expected < inverse < expected + 1
     decided = floor_decide(inverse)
     if decided is not None and decided != expected:
-        return Status.REFUTED, decided, f"decided floor {decided} != 2^(n-1)-1 = {expected}"
+        note = f"decided floor {int_str(decided)} != 2^(n-1)-1 = {int_str(expected)}"
+        return Status.REFUTED, decided, note
     if decided == expected and expected < inverse.lo and inverse.hi < expected + 1:
-        return Status.VERIFIED, decided, f"inverse strictly inside ({expected}, {expected + 1})"
+        note = f"inverse strictly inside ({int_str(expected)}, {int_str(expected + 1)})"
+        return Status.VERIFIED, decided, note
     return None
 
 

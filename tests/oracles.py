@@ -100,3 +100,36 @@ def step_2_2_sides(n: int) -> tuple[Fraction, Fraction]:
 def float_truncation(family: str, start: int, count: int) -> float:
     """Double-precision summation of `count` terms, for midpoint checks."""
     return sum(float(term(family, k)) for k in range(start, start + count))
+
+
+def dyadic_bounds(family: str, start: int, last: int, guard_bits: int) -> tuple[int, int, int]:
+    """Per-term long-division reference for `series._dyadic_bounds`.
+
+    (lo, hi, p) with p = e*last + guard_bits: each term's magnitude
+    divmod(2^p, J(k)^e) is floored into lo and ceiled into hi (negated and
+    swapped for negative terms), then the exact tail bound beyond `last`
+    is rounded outward onto the grid 2^-p.
+    """
+    power = 2 if "squared" in family else 1
+    alternating = family.startswith("alt")
+    p = power * last + guard_bits
+    one = 1 << p
+    lo = hi = 0
+    for k in range(start, last + 1):
+        q, r = divmod(one, jac(k) ** power)
+        if alternating and k % 2:
+            lo -= q + (r != 0)
+            hi -= q
+        else:
+            lo += q
+            hi += q + (r != 0)
+    if alternating:
+        t = term(family, last + 1)
+        tail_lo, tail_hi = min(Fraction(0), t), max(Fraction(0), t)
+    elif power == 2:
+        tail_lo, tail_hi = Fraction(4) ** (1 - last) / 3, Fraction(4) ** (2 - last) / 3
+    else:
+        tail_lo, tail_hi = Fraction(2) ** (1 - last), Fraction(2) ** (2 - last)
+    lo += (tail_lo.numerator << p) // tail_lo.denominator
+    hi -= (-tail_hi.numerator << p) // tail_hi.denominator
+    return lo, hi, p

@@ -165,6 +165,35 @@ def test_width_exponent_limit_is_inclusive(width):
     assert cli._width_goal(width) == F(Decimal(width))
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["seq", "--to", str(cli.MAX_SEQ_INDEX + 1)], "--to"),
+    (["seq", "--to", "1000000"], "--to"),
+    (["poly", "--x", "2", "--to", str(cli.MAX_SEQ_INDEX + 1)], "--to"),
+    (["identities", "--to", str(cli.MAX_IDENTITY_INDEX + 1)], "--to"),
+    (["identities", "--cassini-max", str(cli.MAX_IDENTITY_INDEX + 1)], "--cassini-max"),
+    (["identities", "--to", "10", "--cassini-max", "10" * 30], "--cassini-max"),
+], ids=lambda x: " ".join(x) if isinstance(x, list) else x)
+def test_oversized_indices_are_rejected_while_parsing(capsys, monkeypatch, argv, option):
+    # argument parsing only: nothing may be computed from such an index
+    def no_rows(*args):
+        raise AssertionError(f"rows built for {argv}")
+
+    for name in ("jacobsthal_range", "jacobsthal_poly", "iter_identities"):
+        monkeypatch.setattr(cli, name, no_rows)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (64, "")
+    assert f"argument {option}: must be <=" in err
+
+
+def test_index_limits_are_inclusive():
+    parse = cli._build_parser().parse_args
+    assert parse(["seq", "--to", str(cli.MAX_SEQ_INDEX)]).hi == cli.MAX_SEQ_INDEX
+    assert parse(["poly", "--x", "3", "--to", str(cli.MAX_SEQ_INDEX)]).hi == cli.MAX_SEQ_INDEX
+    args = parse(["identities", "--to", str(cli.MAX_IDENTITY_INDEX),
+                  "--cassini-max", str(cli.MAX_IDENTITY_INDEX)])
+    assert args.to == args.cassini_max == cli.MAX_IDENTITY_INDEX
+
+
 @pytest.mark.parametrize("argv", [
     ["identities", "--to", "0"],
     ["identities", "--cassini-max", "0"],

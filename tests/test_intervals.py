@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from jacsum import (
     interval_reciprocal,
     rat_str,
 )
+from jacsum.intervals import int_str
 
 F = Fraction
 
@@ -116,3 +118,22 @@ def test_rat_str_serialization():
     assert rat_str(F(-26, 5)) == "-26/5"
     assert rat_str(0) == "0"
     assert rat_str(F(-4, 2)) == "-2"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="interpreter has no int-to-str digit limit")
+def test_int_str_matches_str_under_the_lowest_digit_limit():
+    values = [0, 1, -1, 9, 10**499, 10**500 - 1, 10**500, 10**500 + 1, 10**1000,
+              -(10**1000) - 7, 2**16448 - 1, -(3**9000), 7 * 10**4300 + 3]
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        want = [str(v) for v in values]
+        sys.set_int_max_str_digits(640)  # the lowest limit CPython accepts
+        got = [int_str(v) for v in values]
+        ratios = [rat_str(F(-(3**9000), 7 * 10**4300 + 3)), rat_str(F(10**1000, 1)),
+                  rat_str(-(10**1000) - 7)]
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert got == want
+    assert ratios == [f"{want[11]}/{want[12]}", want[8], want[9]]

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from jacsum import (
     series_term,
     tail_bound,
 )
+from jacsum import series
 from jacsum.series import GUARD_BITS
 
 import oracles
@@ -220,3 +222,83 @@ def test_dyadic_enclosures_match_oracle(family):
                 assert d.bit_length() - 1 <= power * enc.terms + GUARD_BITS
             if enc.terms >= deepest:
                 break
+
+
+# --- the Lambert kernel against the per-term long division it replaced ---
+
+
+@pytest.fixture
+def expansions(monkeypatch):
+    """(p, k0, last) of every pass that expands terms, recorded as it runs."""
+    seen = []
+    real = series._lambert_floors
+
+    def record(family, p, k0, last):
+        seen.append((p, k0, last))
+        return real(family, p, k0, last)
+
+    monkeypatch.setattr(series, "_lambert_floors", record)
+    return seen
+
+
+def _assert_kernel_matches_reference(family, start, lasts):
+    s = spec(family.value, start)
+    for last in lasts:
+        if last < series._min_tail_index(s):
+            continue
+        got = series._dyadic_bounds(s, last)
+        want = oracles.dyadic_bounds(family.value, start, last, GUARD_BITS)
+        assert got == want, (family.value, start, last)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
+def test_kernel_matches_long_division_on_the_schedule(family, expansions):
+    # every start <= 130 at the first two truncations the schedule takes,
+    # the smallest ones, and a deep one
+    for start in range(1, 131):
+        lasts = {start, start + 1, start + 8, 2 * (start + 8), 4 * start + 16}
+        _assert_kernel_matches_reference(family, start, sorted(lasts))
+    assert len(expansions) >= 200
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
+def test_kernel_matches_long_division_where_j_is_one(family, expansions):
+    # J(1) = J(2) = 1 divide 2^p exactly: the divided terms must keep r == 0
+    for start in (1, 2):
+        _assert_kernel_matches_reference(family, start, range(start, 260))
+    assert len(expansions) >= 300
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
+def test_kernel_matches_long_division_around_the_k0_seam(family, expansions):
+    # k0 = max(start, isqrt(p)): starts on both sides of isqrt(p), so the
+    # split between divided and expanded terms moves across the range
+    power = 2 if family.squared else 1
+    for last in (100, 333, 1000):
+        root = math.isqrt(power * last + GUARD_BITS)
+        for start in range(root - 3, root + 4):
+            _assert_kernel_matches_reference(family, start, [last])
+    split = sum(1 for p, k0, last in expansions if k0 == math.isqrt(p))
+    assert len(expansions) == 21 and split == 12
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
+def test_kernel_matches_long_division_where_p_mod_k_is_k_minus_1(family, expansions):
+    # for the linear families |R_k| >= 1 exactly when k divides p + 1; the
+    # squared families take the small division at the start of every block
+    for start in (1, 5, 40):
+        _assert_kernel_matches_reference(family, start, range(start + 8, start + 300, 7))
+    hits = [any((p + 1) % k == 0 for k in range(k0, last + 1)) for p, k0, last in expansions]
+    assert sum(hits) >= 20
+
+
+@pytest.mark.parametrize("family, start", [
+    (SeriesFamily.RECIP, 4096),
+    (SeriesFamily.RECIP_SQUARED, 4095),
+    (SeriesFamily.ALT_RECIP, 4096),
+    (SeriesFamily.ALT_RECIP_SQUARED, 4095),
+], ids=lambda x: getattr(x, "value", x))
+def test_kernel_matches_long_division_near_4096(family, start, expansions):
+    # the second pass of the schedule, at p of about 8k resp. 16k bits
+    _assert_kernel_matches_reference(family, start, [2 * (start + 8)])
+    assert len(expansions) == 1

@@ -1,3 +1,7 @@
+import contextlib
+import re
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -228,3 +232,44 @@ def test_undecided_statuses_under_budget():
     assert v.note == (
         "ceiling undecided at refinement cap; outside derivation range (even n >= 5)"
     )
+
+
+@pytest.mark.parametrize("theorem, n, rows", [
+    ("3.1", 4096, [("proof-implied", Status.VERIFIED, 16416), ("stated", Status.REFUTED, 8208)]),
+    ("3.2", 4095, [("stated", Status.VERIFIED, 16412)]),
+    ("3.3", 4095, [("stated", Status.VERIFIED, 8206)]),
+])
+def test_deep_indices_keep_their_verdicts_and_truncations(theorem, n, rows):
+    verdicts = verify_range(theorem, n, n, variant="both")
+    assert [(v.variant, v.status, v.enclosure.terms) for v in verdicts] == rows
+
+
+@contextlib.contextmanager
+def _default_digit_limit():
+    if not hasattr(sys, "set_int_max_str_digits"):  # interpreters without the limit
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("theorem, n", [("3.3", 7300), ("3.1", 8192)])
+def test_library_verdicts_beyond_the_digit_limit(theorem, n):
+    # notes and endpoints with more than 4300 digits, under the default limit
+    with _default_digit_limit():
+        verdicts = verify_range(theorem, n, n, variant="both")
+        payloads = [v.enclosure.as_payload() for v in verdicts]
+    assert {v.status for v in verdicts} <= {Status.VERIFIED, Status.REFUTED}
+    for v, payload in zip(verdicts, payloads):
+        # Decimal reads and compares decimal strings exactly, under any limit
+        for end in ("lo", "hi"):
+            num, den = payload[end].split("/")
+            exact = getattr(v.enclosure.interval, end)
+            assert (Decimal(num), Decimal(den)) == (exact.numerator, exact.denominator)
+            assert len(den) > 4300
+        # the note carries expected in full
+        assert any(Decimal(word) == v.expected for word in re.findall(r"-?\d+", v.note))
