@@ -20,10 +20,11 @@ error therefore prints nothing to stdout.  `identities` and `seq` make
 their rows lazily, so the memory of an `identities` sweep does not grow
 with its row count.
 
-Arguments whose size alone would exhaust memory are rejected while they
-are parsed, with exit 64: `seq --to` and `poly --to` beyond
+Arguments whose size alone would exhaust memory or time are rejected
+while they are parsed, with exit 64: `seq --to` and `poly --to` beyond
 MAX_SEQ_INDEX, `identities --to` and `--cassini-max` beyond
-MAX_IDENTITY_INDEX, and `sum --width` written with an exponent beyond
+MAX_IDENTITY_INDEX, `sum --start` and `verify --from`/`--to` beyond
+MAX_SERIES_INDEX, and `sum --width` written with an exponent beyond
 MAX_WIDTH_EXPONENT.
 
 Reports may hold integers longer than the interpreter's default limit on
@@ -41,7 +42,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
@@ -50,12 +51,11 @@ from .report import (
     ReportRow,
     identity_row,
     sequence_row,
-    sort_rows,
     sum_row,
     verdict_row,
     write_report,
 )
-from .sequence import jacobsthal_poly, jacobsthal_range
+from .sequence import jacobsthal_range
 from .series import SeriesFamily, SeriesSpec, enclose_sum
 from .theorems import THEOREM_IDS, verify_range
 
@@ -72,10 +72,16 @@ MAX_WIDTH_EXPONENT = 100_000
 # Largest `seq --to` and `poly --to`.  `seq` holds J(0..to) before it
 # prints, about to^2/2 bits: some 60 MB at this bound, 60 GB at 10^6.
 MAX_SEQ_INDEX = 30_000
-# Largest `identities --to` and `--cassini-max`.  The sweep reads J up to
-# about twice either one and the cache keeps every J below that, about
-# 2 * to^2 bits: some 27 MB at this bound.
+# Largest `identities --to` and `--cassini-max`.  The sweep holds one window
+# of J up to about twice the larger one while it runs, about 2 * to^2 bits:
+# some 27 MB at this bound.  Nothing is kept once it ends.
 MAX_IDENTITY_INDEX = 10_000
+# Largest `sum --start` and `verify --from`/`--to`.  A series from index n is
+# summed on the grid 2^-p with p about e*n bits (e the power of J(k) in its
+# terms), and 1 << p is built at once: some 12 GB at n = 10^11.  At this
+# bound one index of any claim or family takes at most about 1.2 s and 18 MB
+# (CPython 3.11, 2 vCPUs); the time grows about 3.7x per doubling of n.
+MAX_SERIES_INDEX = 65_536
 
 
 class _Parser(argparse.ArgumentParser):
@@ -159,7 +165,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("sum", help="rigorous enclosure of one series")
     p.add_argument("--family", required=True,
                    choices=[f.value for f in SeriesFamily])
-    p.add_argument("--start", type=int, required=True)
+    p.add_argument("--start", type=_at_most(MAX_SERIES_INDEX), required=True,
+                   help=f"first index, at most {MAX_SERIES_INDEX}")
     p.add_argument("--width", type=_width_goal, default="1e-12",
                    help="finite decimal width goal, parsed exactly, exponent at most "
                         f"{MAX_WIDTH_EXPONENT} in magnitude (default 1e-12)")
@@ -168,8 +175,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="theorem verdicts over an index range")
     p.add_argument("--theorem", required=True, choices=THEOREM_IDS)
-    p.add_argument("--from", dest="lo", type=int, required=True)
-    p.add_argument("--to", dest="hi", type=int, required=True)
+    p.add_argument("--from", dest="lo", type=_at_most(MAX_SERIES_INDEX), required=True)
+    p.add_argument("--to", dest="hi", type=_at_most(MAX_SERIES_INDEX), required=True,
+                   help=f"last index, at most {MAX_SERIES_INDEX}")
     p.add_argument("--parity", choices=("any", "even", "odd"), default="any")
     p.add_argument("--variant", choices=("default", "stated", "proof-implied", "both"),
                    default="default")
@@ -225,11 +233,7 @@ def _report_rows(args: argparse.Namespace) -> tuple[Iterable[ReportRow], str]:
     if args.command == "poly":
         if not 0 <= args.lo <= args.hi:
             raise ValueError(f"need 0 <= from <= to, got {args.lo}..{args.hi}")
-        x = args.x
-        return (
-            (sequence_row(n, x, jacobsthal_poly(n, x)) for n in range(args.lo, args.hi + 1)),
-            "sequence",
-        )
+        return _poly_rows(args.x, args.lo, args.hi), "sequence"
     if args.command == "identities":
         return map(identity_row, iter_identities(args.to, args.cassini_max)), "identity"
     if args.command == "sum":
@@ -241,7 +245,18 @@ def _report_rows(args: argparse.Namespace) -> tuple[Iterable[ReportRow], str]:
         args.theorem, args.lo, args.hi,
         parity=args.parity, variant=args.variant, max_terms=args.max_terms,
     )
-    return sort_rows([verdict_row(v) for v in verdicts]), "verdict"
+    # one theorem, already in (n, variant) order: the report's row order
+    return map(verdict_row, verdicts), "verdict"
+
+
+def _poly_rows(x: int, lo: int, hi: int) -> Iterator[ReportRow]:
+    """Rows of the Jacobsthal polynomial at x for lo <= n <= hi, made
+    lazily from one pass of its recurrence."""
+    a, b = 0, 1  # P(n), P(n+1) at n = 0
+    for n in range(hi + 1):
+        if n >= lo:
+            yield sequence_row(n, x, a)
+        a, b = b, b + x * a
 
 
 if __name__ == "__main__":

@@ -6,6 +6,16 @@ in exact arithmetic and records the outcome.  Nothing here is approximate:
 Integer-valued sides are kept as `int`; only sides that can be fractional
 (step2.2, lemma1.2c's 2^(n-2) at n = 1) are `Fraction`s.
 
+The catalog is one table, `_CATALOG`: per identity its id, its relation,
+the first n at which its sides can be computed, the first n of its stated
+range, and a function that evaluates both sides at n from a given J.  One
+evaluator turns an entry into an `IdentityResult`: it raises `ValueError`
+below the first computable n, and below the stated range it sets
+`applicable=False` and notes where that range starts.  `check_*` pass
+`jacobsthal` as J.  A sweep makes one window J(0..2*max(max_n+1,
+cassini_max)) by one recurrence pass, and every entry, the Cassini block
+included, reads its J from that window; nothing outlives the sweep.
+
 Rational comparisons are made on integers.  step2.1's second form,
 1/J(n) - 2/J(n+2) - 1/J(n+3) > 0, is checked as its numerator over the
 positive common denominator J(n)J(n+2)J(n+3):
@@ -13,11 +23,8 @@ positive common denominator J(n)J(n+2)J(n+3):
 step2.2's two sides are compared as numerators over their positive common
 denominator D = J(n-1) J(n)^2 J(n+1)^2 J(n+2); the reported value is one
 reduced `Fraction`, and a separate left side is built only if they differ.
-
 The Cassini right side (-1)^(n-k+1) 2^(n-k) J(k)^2 is J(k)^2 << (n-k),
-negated when n-k is even.  The sweep evaluates it for every 1 <= k <= n
-from one table J(0..2*cassini_max) and one J(n)^2 per n; `check_cassini`
-goes through the same formula.
+negated when n-k is even.
 
 The catalog ids are stable strings used in reports and sweeps:
 
@@ -39,9 +46,10 @@ The catalog ids are stable strings used in reports and sweeps:
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .sequence import jacobsthal as J
 from .sequence import jacobsthal_range
@@ -94,133 +102,66 @@ def _require(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
-def check_lemma_1_1(n: int) -> IdentityResult:
-    """J(n) + J(n+1) = 2^n; stated for n >= 1, computable at n = 0."""
-    _require(n >= 0, f"need n >= 0, got {n}")
-    lhs = J(n) + J(n + 1)
-    rhs = 2**n
-    return IdentityResult(
-        "lemma1.1",
-        n,
-        lhs == rhs,
-        lhs,
-        rhs,
-        applicable=n >= 1,
-        note="" if n >= 1 else "stated range starts at n=1",
-    )
+class _Entry(NamedTuple):
+    """One row of the catalog; `sides(J, n)` (lemma1.3: `sides(J, n, k)`)
+    returns (holds, lhs, rhs, note) with every J read through `J`."""
+
+    id: str
+    relation: str
+    min_n: int  # first n whose sides can be computed
+    stated_n: int  # first n of the stated range
+    sides: Callable[..., tuple[bool, Fraction | int, Fraction | int, str]]
 
 
-def check_lemma_1_2(n: int) -> tuple[IdentityResult, IdentityResult, IdentityResult]:
-    """The three power-of-two bounds on J(n), each on its own range.
-
-    Sub-checks below their stated range are computed anyway and flagged
-    not-applicable (2^(n-2) is an exact rational even for n < 2).
-    """
-    _require(n >= 1, f"need n >= 1, got {n}")
-    return _lemma_1_2a(n), _lemma_1_2b(n), _lemma_1_2c(n)
+def _lemma_1_1(J, n):
+    lhs, rhs = J(n) + J(n + 1), 2**n
+    return lhs == rhs, lhs, rhs, ""
 
 
-def _lemma_1_2a(n: int) -> IdentityResult:
-    jn = J(n)
-    return IdentityResult("lemma1.2a", n, jn < 2**n, jn, 2**n, relation="<")
+def _lemma_1_2ab(J, n, shift):
+    # J(n) < 2^(n-shift): lemma1.2a at shift 0, lemma1.2b at shift 1
+    jn, ub = J(n), 2 ** (n - shift)
+    return jn < ub, jn, ub, ""
 
 
-def _lemma_1_2b(n: int) -> IdentityResult:
-    jn, ub = J(n), 2 ** (n - 1)
-    return IdentityResult(
-        "lemma1.2b",
-        n,
-        jn < ub,
-        jn,
-        ub,
-        relation="<",
-        applicable=n >= 2,
-        note="" if n >= 2 else "stated range starts at n=2",
-    )
-
-
-def _lemma_1_2c(n: int) -> IdentityResult:
+def _lemma_1_2c(J, n):
+    # 2^(n-2) is an exact rational even for n < 2
     jn, ub = J(n), 2 ** (n - 1)
     lb = 2 ** (n - 2) if n >= 2 else Fraction(1, 2)
-    return IdentityResult(
-        "lemma1.2c",
-        n,
-        lb < jn < ub,
-        lb,
-        ub,
-        relation="< J(n) <",
-        applicable=n >= 3,
-        note="" if n >= 3 else "stated range starts at n=3",
-    )
+    return lb < jn < ub, lb, ub, ""
 
 
-def check_cassini(n: int, k: int) -> IdentityResult:
-    """Cassini-like product formula at offset k, 1 <= k <= n.
-
-    At k = n the left side collapses through J(0) = 0 to -J(n)^2.
-    """
-    _require(n >= 1, f"need n >= 1, got {n}")
-    _require(1 <= k <= n, f"need 1 <= k <= n, got k={k}, n={n}")
-    return _cassini(n, k, J(n + k) * J(n - k), J(n) ** 2, J(k) ** 2)
-
-
-def _cassini(n: int, k: int, product: int, jn_sq: int, jk_sq: int) -> IdentityResult:
-    # lemma1.3 from J(n+k)J(n-k), J(n)^2 and J(k)^2; (-1)^(n-k+1) is -1 for even n-k
-    lhs = product - jn_sq
-    rhs = jk_sq << (n - k)
+def _lemma_1_3(J, n, k):
+    # (-1)^(n-k+1) 2^(n-k) J(k)^2 is J(k)^2 << (n-k), negated when n-k is even
+    lhs = J(n + k) * J(n - k) - J(n) ** 2
+    rhs = J(k) ** 2 << (n - k)
     if not (n - k) & 1:
         rhs = -rhs
-    return IdentityResult("lemma1.3", n, lhs == rhs, lhs, rhs, k=k)
+    return lhs == rhs, lhs, rhs, ""
 
 
-def _cassini_sweep(cassini_max: int) -> Iterator[IdentityResult]:
-    # every 1 <= k <= n <= cassini_max, by n then k, from one table J(0..2*cassini_max)
-    js = jacobsthal_range(0, 2 * cassini_max)
-    squares = [j * j for j in js[: cassini_max + 1]]
-    for n in range(1, cassini_max + 1):
-        jn_sq = squares[n]
-        for k in range(1, n + 1):
-            yield _cassini(n, k, js[n + k] * js[n - k], jn_sq, squares[k])
-
-
-def check_lemma_1_4(n: int) -> IdentityResult:
-    """J(n+1)^2 - J(n)^2 = 2^(n+1) J(n-1) for n >= 1."""
-    _require(n >= 1, f"need n >= 1, got {n}")
+def _lemma_1_4(J, n):
     lhs = J(n + 1) ** 2 - J(n) ** 2
     rhs = 2 ** (n + 1) * J(n - 1)
-    return IdentityResult("lemma1.4", n, lhs == rhs, lhs, rhs)
+    return lhs == rhs, lhs, rhs, ""
 
 
-def check_lemma_1_5(n: int) -> IdentityResult:
-    """J(n+1)^2 + 2 J(n)^2 = J(2n+1) for n >= 1."""
-    _require(n >= 1, f"need n >= 1, got {n}")
+def _lemma_1_5(J, n):
     lhs = J(n + 1) ** 2 + 2 * J(n) ** 2
     rhs = J(2 * n + 1)
-    return IdentityResult("lemma1.5", n, lhs == rhs, lhs, rhs)
+    return lhs == rhs, lhs, rhs, ""
 
 
-def check_step_2_1(n: int) -> IdentityResult:
-    """J(n+1)J(n+3) - J(n)J(n+2) > 0, equivalently
-    1/J(n) > 2/J(n+2) + 1/J(n+3); both forms are checked exactly, the
-    second as its numerator over the positive denominator J(n)J(n+2)J(n+3)."""
-    _require(n >= 1, f"need n >= 1, got {n}")
+def _step_2_1(J, n):
     j0, j1, j2, j3 = J(n), J(n + 1), J(n + 2), J(n + 3)
     diff = j1 * j3 - j0 * j2
     gap = j2 * j3 - 2 * j0 * j3 - j0 * j2
     if (diff > 0) != (gap > 0):
         raise RuntimeError(f"step2.1 forms disagree at n={n}: {diff} vs {gap}")
-    return IdentityResult("step2.1", n, diff > 0 and gap > 0, diff, 0, relation=">")
+    return diff > 0 and gap > 0, diff, 0, ""
 
 
-def check_step_2_2(n: int) -> IdentityResult:
-    """Telescoping step of the squared reciprocal series.
-
-    1/(J(n-1)J(n)) - 1/J(n)^2 - 2/J(n+1)^2 - 4/(J(n+1)J(n+2)) equals
-    (-1)^(n-1) 2^(n-1) J(2n+1) / (J(n-1) J(n)^2 J(n+1)^2 J(n+2)) exactly.
-    Both sides are compared as numerators over that positive denominator.
-    Needs J(n-1) > 0, so n >= 2 is computable; the stated range is n >= 3.
-    """
-    _require(n >= 2, f"need n >= 2 (J(n-1) appears in a denominator), got {n}")
+def _step_2_2(J, n):
     a, b, c, d = J(n - 1), J(n), J(n + 1), J(n + 2)
     b_sq, c_sq = b * b, c * c
     denom = a * b_sq * c_sq * d
@@ -231,15 +172,112 @@ def check_step_2_2(n: int) -> IdentityResult:
     rhs = Fraction(rhs_num, denom)
     lhs = rhs if lhs_num == rhs_num else Fraction(lhs_num, denom)
     sign = "positive" if lhs_num > 0 else ("negative" if lhs_num < 0 else "zero")
-    return IdentityResult(
-        "step2.2",
-        n,
-        lhs_num == rhs_num,
-        lhs,
-        rhs,
-        applicable=n >= 3,
-        note=f"common value {sign}" + ("" if n >= 3 else "; stated range starts at n=3"),
+    return lhs_num == rhs_num, lhs, rhs, f"common value {sign}"
+
+
+def _step_3_1(J, n):
+    sign = (-1) ** n
+    lhs = -sign * J(n - 1) * J(n + 1) + J(n + 1) - J(n - 1) + sign * J(n) ** 2 + sign
+    return lhs == sign, lhs, sign, ""
+
+
+def _step_3_3(J, n):
+    sign = (-1) ** n
+    a_sq, b_sq, c_sq = J(n - 1) ** 2, J(n) ** 2, J(n + 1) ** 2
+    direct = -sign * a_sq * c_sq + c_sq - a_sq + sign * b_sq**2 + sign
+    substituted = (
+        2 ** (n + 1) * J(n - 1) + b_sq - sign * 2 ** (2 * n - 2) - a_sq - 2**n * b_sq + sign
     )
+    if direct != substituted:
+        raise RuntimeError(
+            f"step3.3 numerator forms disagree at n={n}: {direct} vs {substituted}"
+        )
+    note = f"value {'<' if direct < 0 else '>=' } 0"
+    if n < 5:
+        note += "; negativity is claimed only from n=5"
+    return (direct < 0 if n >= 5 else True), direct, 0, note
+
+
+# the catalog in report order: by id, then (in a sweep) by n, then k
+_CATALOG = {
+    entry.id: entry
+    for entry in (
+        _Entry("lemma1.1", "==", 0, 1, _lemma_1_1),
+        _Entry("lemma1.2a", "<", 1, 1, lambda J, n: _lemma_1_2ab(J, n, 0)),
+        _Entry("lemma1.2b", "<", 1, 2, lambda J, n: _lemma_1_2ab(J, n, 1)),
+        _Entry("lemma1.2c", "< J(n) <", 1, 3, _lemma_1_2c),
+        _Entry("lemma1.3", "==", 1, 1, _lemma_1_3),
+        _Entry("lemma1.4", "==", 1, 1, _lemma_1_4),
+        _Entry("lemma1.5", "==", 1, 1, _lemma_1_5),
+        _Entry("step2.1", ">", 1, 1, _step_2_1),
+        _Entry("step2.2", "==", 2, 3, _step_2_2),  # J(n-1) is a denominator
+        _Entry("step3.1", "==", 1, 1, _step_3_1),
+        _Entry("step3.3", "<", 1, 1, _step_3_3),
+    )
+}
+
+
+def _evaluate(
+    entry: _Entry, J: Callable[[int], int], n: int, k: int | None = None
+) -> IdentityResult:
+    if n < entry.min_n:
+        raise ValueError(f"{entry.id} needs n >= {entry.min_n}, got {n}")
+    holds, lhs, rhs, note = entry.sides(J, n) if k is None else entry.sides(J, n, k)
+    applicable = n >= entry.stated_n
+    if not applicable:
+        note += ("; " if note else "") + f"stated range starts at n={entry.stated_n}"
+    return IdentityResult(entry.id, n, holds, lhs, rhs, entry.relation, k, applicable, note)
+
+
+def check_lemma_1_1(n: int) -> IdentityResult:
+    """J(n) + J(n+1) = 2^n; stated for n >= 1, computable at n = 0."""
+    return _evaluate(_CATALOG["lemma1.1"], J, n)
+
+
+def check_lemma_1_2(n: int) -> tuple[IdentityResult, IdentityResult, IdentityResult]:
+    """The three power-of-two bounds on J(n), each on its own range.
+
+    Sub-checks below their stated range are computed anyway and flagged
+    not-applicable (2^(n-2) is an exact rational even for n < 2).
+    """
+    return tuple(_evaluate(_CATALOG[i], J, n) for i in ("lemma1.2a", "lemma1.2b", "lemma1.2c"))
+
+
+def check_cassini(n: int, k: int) -> IdentityResult:
+    """Cassini-like product formula at offset k, 1 <= k <= n.
+
+    At k = n the left side collapses through J(0) = 0 to -J(n)^2.
+    """
+    _require(1 <= k <= n, f"need 1 <= k <= n, got k={k}, n={n}")
+    return _evaluate(_CATALOG["lemma1.3"], J, n, k)
+
+
+def check_lemma_1_4(n: int) -> IdentityResult:
+    """J(n+1)^2 - J(n)^2 = 2^(n+1) J(n-1) for n >= 1."""
+    return _evaluate(_CATALOG["lemma1.4"], J, n)
+
+
+def check_lemma_1_5(n: int) -> IdentityResult:
+    """J(n+1)^2 + 2 J(n)^2 = J(2n+1) for n >= 1."""
+    return _evaluate(_CATALOG["lemma1.5"], J, n)
+
+
+def check_step_2_1(n: int) -> IdentityResult:
+    """J(n+1)J(n+3) - J(n)J(n+2) > 0, equivalently
+    1/J(n) > 2/J(n+2) + 1/J(n+3); both forms are checked exactly, the
+    second as its numerator over the positive denominator J(n)J(n+2)J(n+3)."""
+    return _evaluate(_CATALOG["step2.1"], J, n)
+
+
+def check_step_2_2(n: int) -> IdentityResult:
+    """Telescoping step of the squared reciprocal series.
+
+    1/(J(n-1)J(n)) - 1/J(n)^2 - 2/J(n+1)^2 - 4/(J(n+1)J(n+2)) equals
+    (-1)^(n-1) 2^(n-1) J(2n+1) / (J(n-1) J(n)^2 J(n+1)^2 J(n+2)) exactly.
+    Both sides are compared as numerators over that positive denominator.
+    Needs J(n-1) > 0, so n >= 2 is computable; the stated range is n >= 3.
+    """
+    return _evaluate(_CATALOG["step2.2"], J, n)
 
 
 def check_step_3_1(n: int) -> IdentityResult:
@@ -250,10 +288,7 @@ def check_step_3_1(n: int) -> IdentityResult:
         (-1)^(n+1) J(n-1)J(n+1) + J(n+1) - J(n-1) + (-1)^n J(n)^2 + (-1)^n,
     which must collapse to (-1)^n for every n >= 1.
     """
-    _require(n >= 1, f"need n >= 1, got {n}")
-    sign = (-1) ** n
-    lhs = -sign * J(n - 1) * J(n + 1) + J(n + 1) - J(n - 1) + sign * J(n) ** 2 + sign
-    return IdentityResult("step3.1", n, lhs == sign, lhs, sign)
+    return _evaluate(_CATALOG["step3.1"], J, n)
 
 
 def check_step_3_3(n: int) -> IdentityResult:
@@ -268,32 +303,7 @@ def check_step_3_3(n: int) -> IdentityResult:
     a mismatch between the two is a hard error.  The claim under test is
     that the value is negative for n >= 5; smaller n record the sign only.
     """
-    _require(n >= 1, f"need n >= 1, got {n}")
-    sign = (-1) ** n
-    direct = (
-        -sign * J(n - 1) ** 2 * J(n + 1) ** 2
-        + J(n + 1) ** 2
-        - J(n - 1) ** 2
-        + sign * J(n) ** 4
-        + sign
-    )
-    substituted = (
-        2 ** (n + 1) * J(n - 1)
-        + J(n) ** 2
-        - sign * 2 ** (2 * n - 2)
-        - J(n - 1) ** 2
-        - 2**n * J(n) ** 2
-        + sign
-    )
-    if direct != substituted:
-        raise RuntimeError(
-            f"step3.3 numerator forms disagree at n={n}: {direct} vs {substituted}"
-        )
-    holds = direct < 0 if n >= 5 else True
-    note = f"value {'<' if direct < 0 else '>=' } 0"
-    if n < 5:
-        note += "; negativity is claimed only from n=5"
-    return IdentityResult("step3.3", n, holds, direct, 0, relation="<", note=note)
+    return _evaluate(_CATALOG["step3.3"], J, n)
 
 
 def identity_sweep(max_n: int, cassini_max: int) -> list[IdentityResult]:
@@ -319,17 +329,16 @@ def iter_identities(max_n: int, cassini_max: int) -> Iterator[IdentityResult]:
 
 
 def _catalog(max_n: int, cassini_max: int) -> Iterator[IdentityResult]:
-    # one block per id, in id order: lemma1.1 < lemma1.2a < ... < lemma1.3
-    # < lemma1.4 < ... < step3.3, each block by n, then k
-    ns = range(1, max_n + 1)
-    yield from map(check_lemma_1_1, ns)
-    yield from map(_lemma_1_2a, ns)
-    yield from map(_lemma_1_2b, ns)
-    yield from map(_lemma_1_2c, ns)
-    yield from _cassini_sweep(cassini_max)
-    yield from map(check_lemma_1_4, ns)
-    yield from map(check_lemma_1_5, ns)
-    yield from map(check_step_2_1, ns)
-    yield from map(check_step_2_2, range(3, max_n + 1))
-    yield from map(check_step_3_1, ns)
-    yield from map(check_step_3_3, ns)
+    # every entry reads one window J(0..2*max(max_n+1, cassini_max)): lemma1.5
+    # needs J(2*max_n+1), the Cassini block J(2*cassini_max)
+    J = jacobsthal_range(0, 2 * max(max_n + 1, cassini_max)).__getitem__
+    for entry in _CATALOG.values():
+        if entry.id == "lemma1.3":
+            for n in range(1, cassini_max + 1):
+                for k in range(1, n + 1):
+                    yield _evaluate(entry, J, n, k)
+        else:
+            # from n = 1 where computable, below the stated range included;
+            # step2.2 is not, and starts at its stated n
+            for n in range(1 if entry.min_n <= 1 else entry.stated_n, max_n + 1):
+                yield _evaluate(entry, J, n)

@@ -1,13 +1,13 @@
 """Jacobsthal numbers and integer evaluations of Jacobsthal polynomials.
 
 The sequence is J(0) = 0, J(1) = 1, J(n) = J(n-1) + 2*J(n-2).  Everything
-here is exact integer arithmetic; a process-wide grow-only cache keeps
-contiguous verification sweeps cheap.
+here is exact integer arithmetic and holds no state between calls: a single
+J(n) comes from the closed form (2^n - (-1)^n) / 3 in O(n) time, and a run
+J(lo..hi) from one pass of the recurrence, so a caller keeps only the
+values it asked for.
 """
 
 from __future__ import annotations
-
-import threading
 
 __all__ = [
     "jacobsthal",
@@ -17,63 +17,35 @@ __all__ = [
 ]
 
 
-def jacobsthal_closed_form(n: int) -> int:
-    """(2^n - (-1)^n) / 3, computed without the recurrence.
-
-    Kept as an independent path so the recurrence-based cache can be
-    cross-checked against it.
-    """
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
-    return ((1 << n) - (-1 if n % 2 else 1)) // 3
-
-
-class SequenceCache:
-    """Grow-only, densely indexed store of Jacobsthal numbers.
-
-    Reads of already-cached indices are lock-free; extension is serialized
-    so concurrent sweeps may share one instance.  Entries are never mutated
-    once appended.
-    """
-
-    def __init__(self) -> None:
-        self._values = [0, 1]
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def get(self, n: int) -> int:
-        values = self._values
-        if n < len(values):
-            return values[n]
-        with self._lock:
-            values = self._values
-            while len(values) <= n:
-                nxt = values[-1] + 2 * values[-2]
-                if __debug__:
-                    # redundant closed-form path catches recurrence faults
-                    assert nxt == jacobsthal_closed_form(len(values))
-                values.append(nxt)
-            return values[n]
-
-
-_CACHE = SequenceCache()
-
-
 def jacobsthal(n: int) -> int:
-    """n-th Jacobsthal number, exact at any index."""
+    """n-th Jacobsthal number, exact at any index, from the closed form
+    (2^n - (-1)^n) / 3 without the recurrence."""
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
-    return _CACHE.get(n)
+    return ((1 << n) - (-1 if n & 1 else 1)) // 3
+
+
+# one implementation under both public names
+jacobsthal_closed_form = jacobsthal
 
 
 def jacobsthal_range(lo: int, hi: int) -> list[int]:
-    """[J(lo), ..., J(hi)] inclusive, as a new list; requires 0 <= lo <= hi."""
+    """[J(lo), ..., J(hi)] inclusive, as a new list; requires 0 <= lo <= hi.
+
+    One pass of the recurrence, started from the closed-form J(lo) and
+    J(lo+1).
+    """
     if not 0 <= lo <= hi:
         raise ValueError(f"need 0 <= lo <= hi, got lo={lo}, hi={hi}")
-    _CACHE.get(hi)
-    return _CACHE._values[lo : hi + 1]
+    a, b = jacobsthal(lo), jacobsthal(lo + 1)
+    values = []
+    for n in range(lo, hi + 1):
+        if __debug__:
+            # redundant closed-form path catches recurrence faults
+            assert a == jacobsthal(n)
+        values.append(a)
+        a, b = b, b + 2 * a
+    return values
 
 
 def jacobsthal_poly(n: int, x: int) -> int:
@@ -84,9 +56,7 @@ def jacobsthal_poly(n: int, x: int) -> int:
     """
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
-    if n == 0:
-        return 0
     a, b = 0, 1
-    for _ in range(n - 1):
+    for _ in range(n):
         a, b = b, b + x * a
-    return b
+    return a

@@ -188,7 +188,7 @@ def tail_bound(spec: SeriesSpec, last: int) -> RatInterval:
         return RatInterval(Fraction(2) ** (1 - last), Fraction(2) ** (2 - last))
     if spec.family is SeriesFamily.RECIP_SQUARED:
         return RatInterval(Fraction(4) ** (1 - last) / 3, Fraction(4) ** (2 - last) / 3)
-    # the first omitted term, from the closed form: no cache growth to `last`
+    # the first omitted term, J(last + 1) from the closed form
     j = jacobsthal_closed_form(last + 1)
     t = Fraction((-1) ** (last + 1), j * j if spec.family.squared else j)
     return RatInterval(min(Fraction(0), t), max(Fraction(0), t))

@@ -1,7 +1,7 @@
 """Independent oracle used throughout the tests.
 
 Deliberately avoids every package code path: Jacobsthal numbers come from
-the closed form (2^n - (-1)^n)/3 rather than the recurrence cache, series
+the oracle's own closed form (2^n - (-1)^n)/3, not `jacobsthal`, series
 values from brute-force exact truncation with an explicit tail margin,
 and floors/ceilings are accepted only when stable under that margin.
 """

@@ -178,8 +178,29 @@ def test_oversized_indices_are_rejected_while_parsing(capsys, monkeypatch, argv,
     def no_rows(*args):
         raise AssertionError(f"rows built for {argv}")
 
-    for name in ("jacobsthal_range", "jacobsthal_poly", "iter_identities"):
+    for name in ("jacobsthal_range", "_poly_rows", "iter_identities"):
         monkeypatch.setattr(cli, name, no_rows)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (64, "")
+    assert f"argument {option}: must be <=" in err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["sum", "--family", "recip", "--start", str(cli.MAX_SERIES_INDEX + 1)], "--start"),
+    (["sum", "--family", "alt-recip-squared", "--start", "100000000000"], "--start"),
+    (["verify", "--theorem", "3.1", "--from", "2", "--to", str(cli.MAX_SERIES_INDEX + 1)],
+     "--to"),
+    (["verify", "--theorem", "3.3", "--from", "100000000000", "--to", "100000000000"],
+     "--from"),
+    (["verify", "--theorem", "2.1", "--from", "1", "--to", "10" * 30], "--to"),
+], ids=lambda x: " ".join(x) if isinstance(x, list) else x)
+def test_oversized_series_indices_are_rejected_while_parsing(capsys, monkeypatch, argv, option):
+    # argument parsing only: such an index asks for a 2^p grid of some e*n bits
+    def no_series(*args, **kwargs):
+        raise AssertionError(f"series summed for {argv}")
+
+    for name in ("enclose_sum", "verify_range"):
+        monkeypatch.setattr(cli, name, no_series)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (64, "")
     assert f"argument {option}: must be <=" in err
@@ -192,6 +213,10 @@ def test_index_limits_are_inclusive():
     args = parse(["identities", "--to", str(cli.MAX_IDENTITY_INDEX),
                   "--cassini-max", str(cli.MAX_IDENTITY_INDEX)])
     assert args.to == args.cassini_max == cli.MAX_IDENTITY_INDEX
+    top = str(cli.MAX_SERIES_INDEX)
+    assert parse(["sum", "--family", "recip", "--start", top]).start == cli.MAX_SERIES_INDEX
+    args = parse(["verify", "--theorem", "3.1", "--from", top, "--to", top])
+    assert args.lo == args.hi == cli.MAX_SERIES_INDEX
 
 
 @pytest.mark.parametrize("argv", [

@@ -226,3 +226,30 @@ def test_cassini_sweep_matches_single_checks_and_closed_form():
         n, k = r.n, r.k
         assert r == check_cassini(n, k)
         assert r.rhs == (-1) ** (n - k + 1) * 2 ** (n - k) * jacobsthal_closed_form(k) ** 2
+
+
+_SINGLE_CHECKS = {
+    "lemma1.1": check_lemma_1_1,
+    "lemma1.2a": lambda n: check_lemma_1_2(n)[0],
+    "lemma1.2b": lambda n: check_lemma_1_2(n)[1],
+    "lemma1.2c": lambda n: check_lemma_1_2(n)[2],
+    "lemma1.4": check_lemma_1_4,
+    "lemma1.5": check_lemma_1_5,
+    "step2.1": check_step_2_1,
+    "step2.2": check_step_2_2,
+    "step3.1": check_step_3_1,
+    "step3.3": check_step_3_3,
+}
+
+
+def test_sweep_rows_match_single_checks():
+    # the sweep reads one window of J, the checks the closed form: same rows
+    rows = [r for r in iter_identities(300, 64) if r.identity != "lemma1.3"]
+    assert [(r.identity, r.n) for r in rows] == [
+        (ident, n) for ident in _SINGLE_CHECKS
+        for n in range(3 if ident == "step2.2" else 1, 301)
+    ]
+    for r in rows:
+        single = _SINGLE_CHECKS[r.identity](r.n)
+        assert r == single, r
+        assert (type(r.lhs), type(r.rhs)) == (type(single.lhs), type(single.rhs)), r

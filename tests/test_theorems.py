@@ -1,6 +1,8 @@
 import contextlib
+import gc
 import re
 import sys
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -273,3 +275,21 @@ def test_library_verdicts_beyond_the_digit_limit(theorem, n):
             assert len(den) > 4300
         # the note carries expected in full
         assert any(Decimal(word) == v.expected for word in re.findall(r"-?\d+", v.note))
+
+
+def test_deep_index_memory_is_linear_and_released():
+    # J(n) comes from the closed form, so nothing grows a table of J(0..n),
+    # about n^2/2 bits (some 64 MB at this n), and nothing outlives the call
+    gc.collect()
+    tracemalloc.start()
+    try:
+        verdicts = verify_range("3.3", 32768, 32768)
+        _, peak = tracemalloc.get_traced_memory()
+        assert [v.status for v in verdicts] == [Status.VERIFIED]
+        del verdicts
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert retained < 64 * 2**10
