@@ -31,10 +31,10 @@ Reports may hold integers longer than the interpreter's default limit on
 int-to-decimal conversion (4300 digits): J(n) for n above about 14000, or
 the denominators of `verify` endpoints from about n = 3600.  Endpoints
 and verdict notes are converted by `intervals.int_str`, which works under
-any limit; the bare integers of `seq` values and of `decided`/`expected`
-are not.  `main` therefore lifts that limit while it builds and writes a
-report and restores it afterwards; importing the package never changes
-it.
+any limit, and so are `seq` and `poly` values; the bare integers of
+`decided`/`expected` are not.  `main` therefore lifts that limit while it
+builds and writes a report and restores it afterwards; importing the
+package never changes it.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
+import warnings
 from collections.abc import Callable, Iterable, Iterator
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -241,10 +242,14 @@ def _report_rows(args: argparse.Namespace) -> tuple[Iterable[ReportRow], str]:
         enc = enclose_sum(spec, args.width, max_terms=args.max_terms)
         met = enc is not None and enc.interval.width <= args.width
         return [sum_row(spec, enc, args.width, met)], "sum"
-    verdicts = verify_range(
-        args.theorem, args.lo, args.hi,
-        parity=args.parity, variant=args.variant, max_terms=args.max_terms,
-    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        verdicts = verify_range(
+            args.theorem, args.lo, args.hi,
+            parity=args.parity, variant=args.variant, max_terms=args.max_terms,
+        )
+    for w in caught:  # an empty sweep: say so, then write the empty report
+        print(f"jacsum: warning: {w.message}", file=sys.stderr)
     # one theorem, already in (n, variant) order: the report's row order
     return map(verdict_row, verdicts), "verdict"
 

@@ -83,7 +83,7 @@ def sort_rows(rows: list[ReportRow]) -> list[ReportRow]:
 
 
 def sequence_row(n: int, x: int, value: int) -> ReportRow:
-    return ReportRow("sequence", {"n": n, "x": x, "value": str(value)})
+    return ReportRow("sequence", {"n": n, "x": x, "value": rat_str(value)})
 
 
 def identity_row(res: IdentityResult) -> ReportRow:

@@ -91,7 +91,7 @@ from .intervals import (
     interval_reciprocal,
     rat_str,
 )
-from .sequence import jacobsthal as J, jacobsthal_closed_form
+from .sequence import jacobsthal as J
 
 __all__ = [
     "Enclosure",
@@ -188,9 +188,7 @@ def tail_bound(spec: SeriesSpec, last: int) -> RatInterval:
         return RatInterval(Fraction(2) ** (1 - last), Fraction(2) ** (2 - last))
     if spec.family is SeriesFamily.RECIP_SQUARED:
         return RatInterval(Fraction(4) ** (1 - last) / 3, Fraction(4) ** (2 - last) / 3)
-    # the first omitted term, J(last + 1) from the closed form
-    j = jacobsthal_closed_form(last + 1)
-    t = Fraction((-1) ** (last + 1), j * j if spec.family.squared else j)
+    t = series_term(spec, last + 1)  # the first omitted term
     return RatInterval(min(Fraction(0), t), max(Fraction(0), t))
 
 

@@ -31,7 +31,12 @@ rows left undecided.  A claim's rows appear in the order its verifier
 returns them.  All rows run through the one refinement loop,
 `series.refine_inverse`, which refines the sum until the judge settles or
 the `max_terms` budget runs out; the public verifiers are thin views of
-the table.
+the table.  The table is also the only statement of which indices a claim
+covers: `verify_range` runs every index of the requested parity through
+it and drops the readings that answer not-applicable.  It walks the
+indices in ascending order and puts each index's readings in variant
+order, so a sweep comes out in (n, variant) order by construction, never
+by sorting it.
 
 Every verified/refuted status is backed by the enclosure stored on the
 verdict: the claim holds (or fails) on that entire interval, so the
@@ -46,6 +51,7 @@ import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
+from operator import attrgetter
 from typing import Callable
 
 from .intervals import RatInterval, ceil_decide, floor_decide, int_str
@@ -321,36 +327,32 @@ def verify_range(
     """Apply one claim's verifier to every admissible index in [n_lo, n_hi].
 
     `parity` further filters the sweep ("any", "even", "odd"); indices the
-    claim itself does not cover are skipped rather than reported.
-    `variant` selects which verdict rows are returned: "default" picks the
-    derivation-established variant, "both" keeps the full pairs.  Output
-    is sorted by (n, variant) regardless of evaluation order.
+    claim itself does not cover are skipped rather than reported: each
+    index is run through the claim table, and readings that answer
+    not-applicable there are dropped.  `variant` selects which verdict
+    rows are returned: "default" picks the derivation-established variant,
+    "both" keeps the full pairs.  Output is in (n, variant) order by
+    construction: indices ascend, and each index's readings are put in
+    variant order; the sweep is never sorted as a whole.
     """
     if not 1 <= n_lo <= n_hi:
         raise ValueError(f"need 1 <= n_lo <= n_hi, got {n_lo}..{n_hi}")
     if parity not in ("any", "even", "odd"):
         raise ValueError(f"parity must be any/even/odd, got {parity!r}")
-    claims = _claims(theorem)
     if variant == "default":
         variant = default_variant(theorem)
-    if variant != "both" and variant not in [c.variant for c in claims]:
+    if variant != "both" and variant not in [c.variant for c in _claims(theorem)]:
         raise ValueError(f"theorem {theorem} has no {variant!r} variant")
 
-    own = claims[0]  # all readings of a claim cover the same indices
-    indices = [
-        n for n in range(n_lo, n_hi + 1)
-        if n >= own.min_n and _has_parity(n, own.parity) and _has_parity(n, parity)
+    out = [
+        v for n in range(n_lo, n_hi + 1) if _has_parity(n, parity)
+        for v in sorted(_verdicts(theorem, n, max_terms), key=attrgetter("variant"))
+        if v.status is not Status.NOT_APPLICABLE and variant in ("both", v.variant)
     ]
-    if not indices:
+    if not out:
         warnings.warn(
             f"no admissible indices for theorem {theorem} in [{n_lo}, {n_hi}]"
             f" with parity {parity}",
             stacklevel=2,
         )
-        return []
-    out = [
-        v for n in indices for v in _verdicts(theorem, n, max_terms)
-        if variant in ("both", v.variant)
-    ]
-    out.sort(key=lambda v: (v.n, v.variant))
     return out

@@ -344,3 +344,16 @@ def test_verify_prints_endpoints_beyond_default_digit_limit(capsys):
     [row] = json.loads(out)
     assert row["status"] == "verified"
     assert len(row["enclosure"]["lo"].split("/")[1]) > 4300
+
+
+@pytest.mark.parametrize("fmt, report", [
+    ("json", "[]\n"),
+    ("csv", "kind,theorem,variant,n,status,decided,expected,lo,hi,terms,discrepancy,note\n"),
+    ("plain", "(no rows)\n"),
+])
+def test_verify_with_no_admissible_index_warns_on_stderr(capsys, fmt, report):
+    code, out, err = run(capsys, "verify", "--theorem", "3.1", "--from", "3", "--to", "3",
+                         "--format", fmt)
+    assert code == 0
+    assert out == report
+    assert err == "jacsum: warning: no admissible indices for theorem 3.1 in [3, 3] with parity any\n"

@@ -1,8 +1,11 @@
 """The streaming report writer against the whole-list renderer it replaced."""
 
+import contextlib
 import csv
 import io
 import json
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -10,6 +13,7 @@ import pytest
 from jacsum import (
     IdentityResult, SeriesFamily, SeriesSpec, enclose_sum, identity_sweep, verify_range,
 )
+from jacsum import jacobsthal
 from jacsum.identities import iter_identities
 from jacsum.report import (
     EXIT_OK,
@@ -151,3 +155,36 @@ def test_identity_catalog_comes_in_report_order():
 def test_identity_catalog_checks_caps_before_the_first_result(max_n, cassini_max):
     with pytest.raises(ValueError, match="need"):
         iter_identities(max_n, cassini_max)  # raises on the call, not on iteration
+
+
+@contextlib.contextmanager
+def _default_digit_limit():
+    if not hasattr(sys, "set_int_max_str_digits"):  # interpreters without the limit
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_sequence_row_beyond_the_digit_limit(fmt):
+    # J(20000) has 6020 digits, above the default limit of 4300
+    value = jacobsthal(20000)
+    with _default_digit_limit():
+        text = emit_report([sequence_row(20000, 2, value)], fmt, "sequence")
+    if fmt == "json":
+        (row,) = json.loads(text)
+        written = row["value"]
+    elif fmt == "csv":
+        header, row = csv.reader(io.StringIO(text))
+        written = row[header.index("value")]
+    else:
+        label, written = text.rstrip("\n").split(" = ")
+        assert label == "J(20000)"
+    assert len(written) > 6000
+    # Decimal parses and compares exactly, without the int-to-str digit limit
+    assert Decimal(written) == value

@@ -302,3 +302,14 @@ def test_kernel_matches_long_division_near_4096(family, start, expansions):
     # the second pass of the schedule, at p of about 8k resp. 16k bits
     _assert_kernel_matches_reference(family, start, [2 * (start + 8)])
     assert len(expansions) == 1
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_index_zero_and_empty_budgets_are_rejected(family):
+    s = spec(family, 1)
+    with pytest.raises(ValueError, match="term index must be >= 1"):
+        series_term(s, 0)
+    with pytest.raises(ValueError, match="max_terms must be >= 1"):
+        next(enclosures(s, max_terms=0))
+    with pytest.raises(ValueError, match="width goal must be positive"):
+        enclose_sum(s, 0)

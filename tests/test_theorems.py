@@ -20,6 +20,8 @@ from jacsum import (
     verify_thm_3_1,
     verify_thm_3_3,
 )
+from jacsum import theorems
+from jacsum.intervals import RatInterval
 
 import oracles
 
@@ -293,3 +295,81 @@ def test_deep_index_memory_is_linear_and_released():
         tracemalloc.stop()
     assert peak < 4 * 2**20
     assert retained < 64 * 2**10
+
+
+# The judges, fed made-up reciprocal intervals: a claim is settled only when
+# the whole interval is on one side of its bound, and an endpoint touching a
+# strict bound keeps the refinement going.
+def _judged(judge, n, expected, lo, hi):
+    result = judge(n, expected, RatInterval(F(lo), F(hi)))
+    return None if result is None else result[:2]
+
+
+@pytest.mark.parametrize("lo, hi, judged", [
+    # n = 4: the bounds are J(2) = 1 and 4(J(2)+1) = 8
+    ("2", "3", (Status.VERIFIED, None)),
+    ("1/4", "1/2", (Status.REFUTED, None)),  # wholly below
+    ("1/2", "1", (Status.REFUTED, None)),  # touches J(n-2) from below
+    ("10", "11", (Status.REFUTED, None)),  # wholly above
+    ("8", "9", (Status.REFUTED, None)),  # touches 4(J(n-2)+1) from above
+    ("1/2", "2", None),  # straddles J(n-2)
+    ("7", "9", None),  # straddles 4(J(n-2)+1)
+    ("1", "2", None),  # touches J(n-2) from inside
+    ("7", "8", None),  # touches 4(J(n-2)+1) from inside
+])
+def test_judge_2_1_on_made_up_intervals(lo, hi, judged):
+    assert _judged(theorems._judge_2_1, 4, None, lo, hi) == judged
+
+
+def test_judge_2_1_notes_name_the_bounds():
+    assert theorems._judge_2_1(4, None, RatInterval(F(9), F(10)))[2] == "inverse escapes (1, 8)"
+    assert theorems._judge_2_1(4, None, RatInterval(F(2), F(3)))[2] == "inverse within (1, 8)"
+
+
+@pytest.mark.parametrize("n, expected, lo, hi, judged", [
+    # n = 3: the bound is J(2)J(3) = 3, and the inverse must lie above it
+    (3, None, "7/2", "4", (Status.VERIFIED, None)),
+    (3, None, "2", "5/2", (Status.REFUTED, None)),  # wholly below
+    (3, None, "2", "3", (Status.REFUTED, None)),  # touches the bound from below
+    (3, None, "5/2", "7/2", None),  # straddles the bound
+    (3, None, "3", "4", None),  # touches the bound from above
+    # n = 1: the floor itself must be J(0)J(1) = 0
+    (1, 0, "1/5", "1/2", (Status.VERIFIED, 0)),
+    (1, 0, "6/5", "3/2", (Status.REFUTED, 1)),
+    (1, 0, "1", "3/2", (Status.REFUTED, 1)),  # touches 1 from above
+    (1, 0, "1/2", "3/2", None),  # straddles 1
+])
+def test_judge_2_2_proof_on_made_up_intervals(n, expected, lo, hi, judged):
+    assert _judged(theorems._judge_2_2_proof, n, expected, lo, hi) == judged
+
+
+def test_judge_2_2_proof_refutation_note():
+    note = theorems._judge_2_2_proof(3, None, RatInterval(F(2), F(3)))[2]
+    assert note == "sum >= 1/(J(n-1)J(n)) = 1/3"
+
+
+@pytest.mark.parametrize("lo, hi, judged", [
+    # n = 4: the floor must be 2^3 - 1 = 7, strictly inside (7, 8)
+    ("36/5", "39/5", (Status.VERIFIED, 7)),
+    ("41/5", "17/2", (Status.REFUTED, 8)),  # wholly above
+    ("31/5", "34/5", (Status.REFUTED, 6)),  # wholly below
+    ("8", "17/2", (Status.REFUTED, 8)),  # touches 8 from above
+    ("13/2", "15/2", None),  # straddles 7
+    ("15/2", "17/2", None),  # straddles 8
+    ("7", "15/2", None),  # floor 7, but touches 7
+    ("15/2", "8", None),  # touches 8 from below
+])
+def test_judge_3_1_proof_on_made_up_intervals(lo, hi, judged):
+    assert _judged(theorems._judge_3_1_proof, 4, 7, lo, hi) == judged
+
+
+def test_judge_3_1_proof_refutation_note():
+    note = theorems._judge_3_1_proof(4, 7, RatInterval(F(41, 5), F(17, 2)))[2]
+    assert note == "decided floor 8 != 2^(n-1)-1 = 7"
+
+
+def test_index_zero_is_rejected_unless_the_claim_starts_higher():
+    with pytest.raises(ValueError, match="need n >= 1"):
+        verify_thm_3_1(0)
+    v = verify_thm_2_1(0)
+    assert (v.status, v.note) == (Status.NOT_APPLICABLE, "stated for n >= 2")
