@@ -21,26 +21,20 @@ their rows lazily, so the memory of an `identities` sweep does not grow
 with its row count.
 
 Arguments whose size alone would exhaust memory or time are rejected
-while they are parsed, with exit 64: `seq --to` and `poly --to` beyond
+with exit 64 before any row is made: `seq --to` and `poly --to` beyond
 MAX_SEQ_INDEX, `identities --to` and `--cassini-max` beyond
 MAX_IDENTITY_INDEX, `sum --start` and `verify --from`/`--to` beyond
-MAX_SERIES_INDEX, and `sum --width` written with an exponent beyond
-MAX_WIDTH_EXPONENT.
+MAX_SERIES_INDEX, `sum --width` written with an exponent beyond
+MAX_WIDTH_EXPONENT, and `poly` whose values would outgrow those of
+`poly --x 3 --to MAX_SEQ_INDEX` (see `_poly_rows`).
 
-Reports may hold integers longer than the interpreter's default limit on
-int-to-decimal conversion (4300 digits): J(n) for n above about 14000, or
-the denominators of `verify` endpoints from about n = 3600.  Endpoints
-and verdict notes are converted by `intervals.int_str`, which works under
-any limit, and so are `seq` and `poly` values; the bare integers of
-`decided`/`expected` are not.  `main` therefore lifts that limit while it
-builds and writes a report and restores it afterwards; importing the
-package never changes it.
+Integers of any size are written in full by the report module, under the
+interpreter's int-to-str digit limit, which nothing here changes.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 import warnings
 from collections.abc import Callable, Iterable, Iterator
@@ -188,32 +182,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
-@contextlib.contextmanager
-def _int_digits_unlimited():
-    """Lift the interpreter's int-to-str digit limit for the enclosed block."""
-    if not hasattr(sys, "get_int_max_str_digits"):  # interpreters without the limit
-        yield
-        return
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(old)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-
-    with _int_digits_unlimited():
-        return _run(args)
-
-
-def _run(args: argparse.Namespace) -> int:
     try:
         rows, kind = _report_rows(args)
     except ValueError as exc:
@@ -234,6 +208,12 @@ def _report_rows(args: argparse.Namespace) -> tuple[Iterable[ReportRow], str]:
     if args.command == "poly":
         if not 0 <= args.lo <= args.hi:
             raise ValueError(f"need 0 <= from <= to, got {args.lo}..{args.hi}")
+        bits = max(2, args.x.bit_length())
+        if args.hi * bits > 2 * MAX_SEQ_INDEX:
+            raise ValueError(
+                f"need to * max(2, bit length of |x|) <= {2 * MAX_SEQ_INDEX},"
+                f" got {args.hi} * {bits}"
+            )
         return _poly_rows(args.x, args.lo, args.hi), "sequence"
     if args.command == "identities":
         return map(identity_row, iter_identities(args.to, args.cassini_max)), "identity"
@@ -256,7 +236,12 @@ def _report_rows(args: argparse.Namespace) -> tuple[Iterable[ReportRow], str]:
 
 def _poly_rows(x: int, lo: int, hi: int) -> Iterator[ReportRow]:
     """Rows of the Jacobsthal polynomial at x for lo <= n <= hi, made
-    lazily from one pass of its recurrence."""
+    lazily from one pass of its recurrence.
+
+    P(n) has about (n/2)*log2|x| bits, so `_report_rows` bounds hi by
+    hi * max(2, bit length of |x|) <= 2 * MAX_SEQ_INDEX: every |x| <= 3
+    keeps --to MAX_SEQ_INDEX, and no report outgrows that of x = 3.
+    """
     a, b = 0, 1  # P(n), P(n+1) at n = 0
     for n in range(hi + 1):
         if n >= lo:

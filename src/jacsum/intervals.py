@@ -38,35 +38,29 @@ def int_str(value: int) -> str:
     """Decimal form of an integer of any size, whatever the digit limit.
 
     Pure and thread-safe: the interpreter's int-to-str limit (4300 digits
-    by default) is neither read nor changed.
+    by default) is neither read nor changed.  An integer too long for
+    str() under that limit is converted 10^_CHUNK at a time.
     """
-    if value < 0:
-        return "-" + int_str(-value)
+    try:
+        return str(value)
+    except ValueError:
+        pass
+    sign, value = ("-", -value) if value < 0 else ("", value)
     chunks = []
     while value >= _CHUNK_BASE:
         value, low = divmod(value, _CHUNK_BASE)
         chunks.append(str(low).zfill(_CHUNK))
     chunks.append(str(value))
-    return "".join(reversed(chunks))
+    return sign + "".join(reversed(chunks))
 
 
 def rat_str(value: RatLike) -> str:
-    """Serialize an exact rational as "p/q", omitting "/q" when q = 1.
-
-    Parts too long for str() under the int-to-str digit limit go through
-    int_str; the common short case pays for no extra call.
-    """
+    """Serialize an exact rational as "p/q", omitting "/q" when q = 1."""
     if type(value) is int:
-        try:
-            return str(value)
-        except ValueError:
-            return int_str(value)
+        return int_str(value)
     q = Fraction(value)
-    num, den = q.numerator, q.denominator
-    try:
-        return str(num) if den == 1 else f"{num}/{den}"
-    except ValueError:
-        return int_str(num) if den == 1 else f"{int_str(num)}/{int_str(den)}"
+    num = int_str(q.numerator)
+    return num if q.denominator == 1 else f"{num}/{int_str(q.denominator)}"
 
 
 @dataclass(frozen=True)

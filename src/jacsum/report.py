@@ -3,7 +3,10 @@
 Row kinds: sequence, identity, sum, verdict.  Rows sort by
 (kind, id, n, k, variant) and identical inputs always produce
 byte-identical output: rationals are serialized as "p/q" strings and no
-floating point ever reaches JSON or CSV.
+floating point ever reaches JSON or CSV.  Integers are written in full
+whatever the interpreter's int-to-str digit limit (those too long for
+str() through `intervals.int_str`), so a report is the same from the
+library as from the CLI.
 
 `write_report` is the one writer.  It takes rows already in report order,
 from any iterable, writes each row to the output as soon as it is made
@@ -20,11 +23,12 @@ import json
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import TextIO
 
 from .identities import IdentityResult
-from .intervals import rat_str
+from .intervals import int_str, rat_str
 from .series import Enclosure, SeriesSpec
 from .theorems import Verdict
 
@@ -144,7 +148,7 @@ def _csv_cell(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    return str(value)
+    return int_str(value) if type(value) is int else str(value)
 
 
 def _flatten_for_csv(row: ReportRow) -> list[str]:
@@ -164,9 +168,13 @@ def _approx_decimal(q: Fraction, places: int = 6) -> str:
     q = abs(q)
     scaled = math.floor(q * 10**places + Fraction(1, 2))
     whole, frac = divmod(scaled, 10**places)
-    if whole >= 10**18:
-        return sign + str(whole)  # too large for a useful decimal tail
     return f"{sign}{whole}.{frac:0{places}d}"
+
+
+def _parse_rat(text: str) -> Fraction:
+    """Inverse of `rat_str`.  Decimal parses digits whatever the int-to-str
+    digit limit, and int() of a Decimal is not bound by it either."""
+    return Fraction(*(int(Decimal(part)) for part in text.split("/")))
 
 
 def _plain_line(row: ReportRow) -> str:
@@ -184,15 +192,15 @@ def _plain_line(row: ReportRow) -> str:
         enc = p["enclosure"]
         if enc is None:
             return f"{p['family']} from k={p['start']}: {p['status']} (no enclosure in budget)"
-        mid = (Fraction(enc["lo"]) + Fraction(enc["hi"])) / 2
+        mid = (_parse_rat(enc["lo"]) + _parse_rat(enc["hi"])) / 2
         return (
             f"{p['family']} from k={p['start']}: [{enc['lo']}, {enc['hi']}]"
             f" ~ {_approx_decimal(mid)} (terms to {enc['terms']}, {p['status']})"
         )
     enc = p["enclosure"]
     terms = f"terms={enc['terms']}" if enc else "no enclosure"
-    decided = f" decided={p['decided']}" if p["decided"] is not None else ""
-    expected = f" expected={p['expected']}" if p["expected"] is not None else ""
+    decided = f" decided={int_str(p['decided'])}" if p["decided"] is not None else ""
+    expected = f" expected={int_str(p['expected'])}" if p["expected"] is not None else ""
     flag = " DISCREPANCY" if p["discrepancy"] else ""
     note = f"  [{p['note']}]" if p["note"] else ""
     return (
@@ -204,12 +212,25 @@ def _plain_line(row: ReportRow) -> str:
 _JSON = json.JSONEncoder(separators=(",", ":"))
 
 
+def _json_object(payload: dict) -> str:
+    """The encoder's bytes for `payload`, with top-level ints through
+    `int_str`: for rows whose `decided`/`expected` are too long for str()."""
+    items = (
+        f"{_JSON.encode(key)}:{int_str(value) if type(value) is int else _JSON.encode(value)}"
+        for key, value in payload.items()
+    )
+    return "{" + ",".join(items) + "}"
+
+
 def _write_json(rows: Iterator[ReportRow], kind: str, out: TextIO) -> None:
     out.write("[")
     for i, row in enumerate(rows):
         if i:
             out.write(",")
-        out.write(_JSON.encode(row.payload))
+        try:
+            out.write(_JSON.encode(row.payload))
+        except ValueError:  # an int beyond the int-to-str digit limit
+            out.write(_json_object(row.payload))
     out.write("]\n")
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import json
 import subprocess
 import sys
@@ -206,6 +207,43 @@ def test_oversized_series_indices_are_rejected_while_parsing(capsys, monkeypatch
     assert f"argument {option}: must be <=" in err
 
 
+@pytest.mark.parametrize("x, hi", [
+    ("1000000", 6000),
+    ("1" + "0" * 1000, 600),
+    ("-" + "1" * 400, 100),
+    ("4", cli.MAX_SEQ_INDEX // 3 * 2 + 1),  # 3 bits
+    (str(2**19), cli.MAX_SEQ_INDEX // 10 + 1),  # 20 bits
+    (str(-(2**19)), cli.MAX_SEQ_INDEX // 10 + 1),
+], ids=lambda x: x[:12] if isinstance(x, str) else str(x))
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+def test_poly_rejects_values_beyond_the_largest_report(capsys, monkeypatch, x, hi, fmt):
+    # P(n) at x has about (n/2)*log2|x| bits: --to alone does not bound it
+    def no_rows(*args):
+        raise AssertionError(f"rows built for --x {x} --to {hi}")
+
+    monkeypatch.setattr(cli, "_poly_rows", no_rows)
+    code, out, err = run(capsys, "poly", "--x", x, "--to", str(hi), "--format", fmt)
+    assert (code, out) == (64, "")
+    assert err.startswith("jacsum: error: need to * max(2, bit length of |x|) <= ")
+
+
+@pytest.mark.parametrize("x, hi", [
+    ("3", cli.MAX_SEQ_INDEX),
+    ("-3", cli.MAX_SEQ_INDEX),
+    ("0", cli.MAX_SEQ_INDEX),
+    ("4", cli.MAX_SEQ_INDEX // 3 * 2),
+    (str(2**19), cli.MAX_SEQ_INDEX // 10),
+    (str(-(2**19)), cli.MAX_SEQ_INDEX // 10),
+    (str(2**20 - 1), cli.MAX_SEQ_INDEX // 10),
+])
+def test_poly_value_limit_is_inclusive(capsys, monkeypatch, x, hi):
+    calls = []
+    monkeypatch.setattr(cli, "_poly_rows", lambda *args: calls.append(args) or [])
+    code, out, err = run(capsys, "poly", "--x", x, "--to", str(hi), "--format", "json")
+    assert (code, out, err) == (0, "[]\n", "")
+    assert calls == [(int(x), 0, hi)]
+
+
 def test_index_limits_are_inclusive():
     parse = cli._build_parser().parse_args
     assert parse(["seq", "--to", str(cli.MAX_SEQ_INDEX)]).hi == cli.MAX_SEQ_INDEX
@@ -357,3 +395,26 @@ def test_verify_with_no_admissible_index_warns_on_stderr(capsys, fmt, report):
     assert code == 0
     assert out == report
     assert err == "jacsum: warning: no admissible indices for theorem 3.1 in [3, 3] with parity any\n"
+
+
+# SHA-256 of the CLI's `verify --theorem 3.1 --from 14500 --to 14500 --variant both`,
+# whose decided/expected integers have up to 8,730 digits
+DEEP_VERIFY = {
+    "json": "19e04826fb194851405a7b21b096ebefd4692049a42c4eaf9ad0ff943af4c870",
+    "csv": "9243517242a0eb1e10c3d1107837753ff419bc3e3f9296267415993ada228a4f",
+    "plain": "31d83ee13e5799f726666a597cdd217064c538d271a9d06a67ea1e439979818b",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(DEEP_VERIFY))
+def test_deep_verify_leaves_the_digit_limit_alone(capsys, monkeypatch, fmt):
+    def no_lift(limit):
+        raise AssertionError(f"int-to-str digit limit set to {limit}")
+
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    monkeypatch.setattr(sys, "set_int_max_str_digits", no_lift, raising=False)
+    code, out, _ = run(capsys, "verify", "--theorem", "3.1", "--from", "14500", "--to", "14500",
+                       "--variant", "both", "--format", fmt)
+    assert code == 2  # the stated reading is refuted
+    assert hashlib.sha256(out.encode()).hexdigest() == DEEP_VERIFY[fmt]
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit

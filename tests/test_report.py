@@ -13,14 +13,16 @@ import pytest
 from jacsum import (
     IdentityResult, SeriesFamily, SeriesSpec, enclose_sum, identity_sweep, verify_range,
 )
-from jacsum import jacobsthal
+from jacsum import cli, jacobsthal
 from jacsum.identities import iter_identities
+from jacsum.intervals import int_str, rat_str
 from jacsum.report import (
     EXIT_OK,
     EXIT_REFUTED,
     EXIT_UNDECIDED,
     CSV_HEADERS,
     _flatten_for_csv,
+    _parse_rat,
     _plain_line,
     emit_report,
     identity_row,
@@ -188,3 +190,45 @@ def test_sequence_row_beyond_the_digit_limit(fmt):
     assert len(written) > 6000
     # Decimal parses and compares exactly, without the int-to-str digit limit
     assert Decimal(written) == value
+
+
+def _cli_stdout(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(argv)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("theorem, n", [("3.1", 14500), ("3.3", 7201), ("2.2", 7201),
+                                        ("3.2", 14301)])
+def test_deep_verdict_reports_match_the_cli_under_the_default_limit(theorem, n, fmt):
+    # from these n on, some decided/expected integer has more than 4300 digits:
+    # the 4^n-sized ones from about n = 7,200, the 2^n-sized ones from about 14,300
+    with _default_digit_limit():
+        rows = [verdict_row(v) for v in verify_range(theorem, n, n, variant="both")]
+        text = emit_report(rows, fmt, "verdict")
+        assert text == _cli_stdout(["verify", "--theorem", theorem, "--from", str(n),
+                                    "--to", str(n), "--variant", "both", "--format", fmt])
+    assert max(len(int_str(abs(v))) for r in rows
+               for v in (r.payload["decided"], r.payload["expected"]) if v is not None) > 4300
+
+
+@pytest.mark.parametrize("family, start", [("recip-squared", 7200), ("recip", 14300)])
+def test_deep_plain_sum_reports_match_the_cli_under_the_default_limit(family, start):
+    # the plain midpoint re-reads endpoints with denominators beyond 4300 digits
+    fmt = "plain"
+    width = Fraction(1, 10**12)
+    spec = SeriesSpec(SeriesFamily(family), start)
+    with _default_digit_limit():
+        enc = enclose_sum(spec, width)
+        text = emit_report([sum_row(spec, enc, width, enc.interval.width <= width)], fmt, "sum")
+        assert text == _cli_stdout(["sum", "--family", family, "--start", str(start),
+                                    "--format", fmt])
+    assert enc.interval.lo.denominator.bit_length() > 14300  # more than 4300 digits
+
+
+@pytest.mark.parametrize("text", ["0", "-7", "12/5", "-12/5", "3/" + "1" + "0" * 5000])
+def test_plain_midpoint_reads_back_what_rat_str_wrote(text):
+    with _default_digit_limit():
+        assert rat_str(_parse_rat(text)) == text

@@ -1,8 +1,10 @@
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jacsum import (
     NeedMoreTermsError,
@@ -110,6 +112,37 @@ def test_enclosures_contain_limit_and_shrink():
                 assert b.interval.width < a.interval.width
             assert seen[0].terms == start + 8
             assert seen[1].terms == 2 * (start + 8)
+
+
+@functools.cache
+def _unbudgeted(family, mode, start):
+    return enclose_inverse(SeriesSpec(family, start), mode).decided
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ALL_FAMILIES), st.sampled_from(["floor", "ceil"]),
+       st.integers(1, 300), st.data())
+def test_a_decided_rounding_does_not_depend_on_the_budget(family, mode, start, data):
+    max_terms = data.draw(st.integers(1, 4 * start + 64), label="max_terms")
+    got = enclose_inverse(SeriesSpec(family, start), mode, max_terms=max_terms).decided
+    assert got is None or got == _unbudgeted(family, mode, start)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(ALL_FAMILIES), st.integers(1, 100) | st.integers(1, 3000))
+def test_enclosures_nest_on_power_of_two_grids(family, start):
+    # the Lambert path at every start; below about 100, k0 = isqrt(p) > start
+    # at the later passes, so the split between divided and expanded terms moves
+    power = 2 if family.squared else 1
+    seen = list(enclosures(SeriesSpec(family, start)))
+    for enc in seen:
+        for end in (enc.interval.lo, enc.interval.hi):
+            den = end.denominator
+            assert den & (den - 1) == 0
+            assert den.bit_length() - 1 <= power * enc.terms + GUARD_BITS
+    for a, b in zip(seen, seen[1:]):
+        assert a.interval.encloses(b.interval)
+        assert b.interval.width <= a.interval.width
 
 
 def test_positive_family_enclosures_stay_positive():
