@@ -21,20 +21,22 @@ their rows lazily, so the memory of an `identities` sweep does not grow
 with its row count.
 
 Arguments whose size alone would exhaust memory or time are rejected
-with exit 64 before any row is made: `seq --to` and `poly --to` beyond
-MAX_SEQ_INDEX, `identities --to` and `--cassini-max` beyond
-MAX_IDENTITY_INDEX, `sum --start` and `verify --from`/`--to` beyond
-MAX_SERIES_INDEX, `sum --width` written with an exponent beyond
-MAX_WIDTH_EXPONENT, and `poly` whose values would outgrow those of
-`poly --x 3 --to MAX_SEQ_INDEX` (see `_poly_rows`).
+with exit 64 before any row is made: `seq --from`/`--to` and
+`poly --from`/`--to` beyond MAX_SEQ_INDEX, `identities --to` and
+`--cassini-max` beyond MAX_IDENTITY_INDEX, `sum --start` and
+`verify --from`/`--to` beyond MAX_SERIES_INDEX, `sum --width` written
+with an exponent beyond MAX_WIDTH_EXPONENT, and `poly` whose values would
+outgrow those of `poly --x 3 --to MAX_SEQ_INDEX` (see `_poly_rows`).
 
-Integers of any size are written in full by the report module, under the
-interpreter's int-to-str digit limit, which nothing here changes.
+Integer options of any length are read exactly, and integers of any size
+are written in full by the report module, under the interpreter's
+int-to-str digit limit, which nothing here changes.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import warnings
 from collections.abc import Callable, Iterable, Iterator
@@ -64,8 +66,9 @@ EXIT_USAGE = 64
 # unchecked exponent such as 1e-999999999999 would never finish.
 MAX_WIDTH_EXPONENT = 100_000
 
-# Largest `seq --to` and `poly --to`.  `seq` holds J(0..to) before it
-# prints, about to^2/2 bits: some 60 MB at this bound, 60 GB at 10^6.
+# Largest `seq --from`/`--to` and `poly --from`/`--to`.  `seq` holds
+# J(0..to) before it prints, about to^2/2 bits: some 60 MB at this bound,
+# 60 GB at 10^6.
 MAX_SEQ_INDEX = 30_000
 # Largest `identities --to` and `--cassini-max`.  The sweep holds one window
 # of J up to about twice the larger one while it runs, about 2 * to^2 bits:
@@ -87,27 +90,54 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+# Longest argument an error message quotes whole; a longer one is shown by
+# its first _ECHO_CHARS characters and its length.
+_ECHO_CHARS = 20
+
+_INTEGER = re.compile(r"[+-]?\d+")
+
+
+def _shown(text: str) -> str:
+    """`text` as an error message quotes it."""
+    if len(text) <= _ECHO_CHARS:
+        return repr(text)
+    if _INTEGER.fullmatch(text):
+        size = f"{len(text.lstrip('+-'))} digits"
+    else:
+        size = f"{len(text)} characters"
+    return f"{text[:_ECHO_CHARS]!r}... ({size})"
+
+
 def _integer(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    """Argument type: an integer of any length, parsed exactly.  Decimal
+    parses digits whatever the int-to-str digit limit, and int() of a
+    Decimal is not bound by it either."""
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"not an integer: {_shown(text)}")
+    return int(Decimal(text))
 
 
 def _positive_int(text: str) -> int:
     value = _integer(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1: {text!r}")
+        raise argparse.ArgumentTypeError(f"must be >= 1: {_shown(text)}")
     return value
 
 
 def _at_most(limit: int) -> Callable[[str], int]:
-    """Argument type: an integer no larger than `limit`."""
+    """Argument type: an integer no larger than `limit`.
+
+    One below -limit is refused here too: it is as wrong as -1, which the
+    command's range check refuses by quoting it, but may be too long to
+    quote.
+    """
 
     def parse(text: str) -> int:
         value = _integer(text)
         if value > limit:
-            raise argparse.ArgumentTypeError(f"must be <= {limit}: {text!r}")
+            raise argparse.ArgumentTypeError(f"must be <= {limit}: {_shown(text)}")
+        if value < -limit:
+            raise argparse.ArgumentTypeError(f"must be >= -{limit}: {_shown(text)}")
         return value
 
     return parse
@@ -117,16 +147,16 @@ def _width_goal(text: str) -> Fraction:
     try:
         decimal = Decimal(text)
     except InvalidOperation as exc:
-        raise argparse.ArgumentTypeError(f"not a decimal width: {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"not a decimal width: {_shown(text)}") from exc
     if not decimal.is_finite():
-        raise argparse.ArgumentTypeError(f"width must be finite: {text!r}")
+        raise argparse.ArgumentTypeError(f"width must be finite: {_shown(text)}")
     if abs(decimal.as_tuple().exponent) > MAX_WIDTH_EXPONENT:
         raise argparse.ArgumentTypeError(
-            f"width exponent beyond +-{MAX_WIDTH_EXPONENT}: {text!r}"
+            f"width exponent beyond +-{MAX_WIDTH_EXPONENT}: {_shown(text)}"
         )
     value = Fraction(decimal)
     if value <= 0:
-        raise argparse.ArgumentTypeError(f"width must be positive: {text!r}")
+        raise argparse.ArgumentTypeError(f"width must be positive: {_shown(text)}")
     return value
 
 
@@ -138,14 +168,14 @@ def _build_parser() -> _Parser:
         p.add_argument("--format", choices=("json", "csv", "plain"), default="plain")
 
     p = sub.add_parser("seq", help="Jacobsthal numbers J(from)..J(to)")
-    p.add_argument("--from", dest="lo", type=int, default=0)
+    p.add_argument("--from", dest="lo", type=_at_most(MAX_SEQ_INDEX), default=0)
     p.add_argument("--to", dest="hi", type=_at_most(MAX_SEQ_INDEX), required=True,
                    help=f"last index, at most {MAX_SEQ_INDEX}")
     add_format(p)
 
     p = sub.add_parser("poly", help="Jacobsthal polynomial values at integer x")
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--from", dest="lo", type=int, default=0)
+    p.add_argument("--x", type=_integer, required=True)
+    p.add_argument("--from", dest="lo", type=_at_most(MAX_SEQ_INDEX), default=0)
     p.add_argument("--to", dest="hi", type=_at_most(MAX_SEQ_INDEX), required=True,
                    help=f"last index, at most {MAX_SEQ_INDEX}")
     add_format(p)

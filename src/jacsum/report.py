@@ -3,10 +3,16 @@
 Row kinds: sequence, identity, sum, verdict.  Rows sort by
 (kind, id, n, k, variant) and identical inputs always produce
 byte-identical output: rationals are serialized as "p/q" strings and no
-floating point ever reaches JSON or CSV.  Integers are written in full
-whatever the interpreter's int-to-str digit limit (those too long for
-str() through `intervals.int_str`), so a report is the same from the
-library as from the CLI.
+floating point ever reaches JSON or CSV.  Every integer is written in full
+through `intervals.int_str`, whatever the interpreter's int-to-str digit
+limit, so a report is the same from the library as from the CLI.
+
+A JSON row is written from one template per row kind, key for key what
+`json.dumps(row.payload, separators=(",", ":"))` writes.  Text made by
+`rat_str` (digits, "-" and "/") and the closed status and family values
+need no escaping and go between the quotes as they are; only free text
+(identity, theorem and variant names, relations, notes) goes through the
+`json` string encoder.
 
 `write_report` is the one writer.  It takes rows already in report order,
 from any iterable, writes each row to the output as soon as it is made
@@ -180,7 +186,7 @@ def _parse_rat(text: str) -> Fraction:
 def _plain_line(row: ReportRow) -> str:
     p = row.payload
     if row.kind == "sequence":
-        label = f"J({p['n']})" if p["x"] == 2 else f"P({p['n']}; x={p['x']})"
+        label = f"J({p['n']})" if p["x"] == 2 else f"P({p['n']}; x={int_str(p['x'])})"
         return f"{label} = {p['value']}"
     if row.kind == "identity":
         where = f"n={p['n']}" + (f", k={p['k']}" if p["k"] is not None else "")
@@ -209,17 +215,57 @@ def _plain_line(row: ReportRow) -> str:
     )
 
 
-_JSON = json.JSONEncoder(separators=(",", ":"))
+_json_str = json.JSONEncoder().encode  # a str as a JSON string literal
 
 
-def _json_object(payload: dict) -> str:
-    """The encoder's bytes for `payload`, with top-level ints through
-    `int_str`: for rows whose `decided`/`expected` are too long for str()."""
-    items = (
-        f"{_JSON.encode(key)}:{int_str(value) if type(value) is int else _JSON.encode(value)}"
-        for key, value in payload.items()
+def _int_or_null(value: int | None) -> str:
+    return "null" if value is None else int_str(value)
+
+
+def _enclosure_json(enc: dict | None) -> str:
+    if enc is None:
+        return "null"
+    return f'{{"lo":"{enc["lo"]}","hi":"{enc["hi"]}","terms":{int_str(enc["terms"])}}}'
+
+
+def _sequence_json(p: dict) -> str:
+    return f'{{"n":{int_str(p["n"])},"x":{int_str(p["x"])},"value":"{p["value"]}"}}'
+
+
+def _identity_json(p: dict) -> str:
+    return (
+        f'{{"identity":{_json_str(p["identity"])},"n":{int_str(p["n"])},'
+        f'"k":{_int_or_null(p["k"])},"verdict":"{p["verdict"]}",'
+        f'"relation":{_json_str(p["relation"])},"lhs":"{p["lhs"]}","rhs":"{p["rhs"]}",'
+        f'"note":{_json_str(p["note"])}}}'
     )
-    return "{" + ",".join(items) + "}"
+
+
+def _sum_json(p: dict) -> str:
+    return (
+        f'{{"family":"{p["family"]}","start":{int_str(p["start"])},'
+        f'"status":"{p["status"]}","enclosure":{_enclosure_json(p["enclosure"])},'
+        f'"width":"{p["width"]}"}}'
+    )
+
+
+def _verdict_json(p: dict) -> str:
+    return (
+        f'{{"theorem":{_json_str(p["theorem"])},"variant":{_json_str(p["variant"])},'
+        f'"n":{int_str(p["n"])},"status":"{p["status"]}",'
+        f'"decided":{_int_or_null(p["decided"])},"expected":{_int_or_null(p["expected"])},'
+        f'"enclosure":{_enclosure_json(p["enclosure"])},'
+        f'"discrepancy":{"true" if p["discrepancy"] else "false"},'
+        f'"note":{_json_str(p["note"])}}}'
+    )
+
+
+_JSON_ROW = {
+    "sequence": _sequence_json,
+    "identity": _identity_json,
+    "sum": _sum_json,
+    "verdict": _verdict_json,
+}
 
 
 def _write_json(rows: Iterator[ReportRow], kind: str, out: TextIO) -> None:
@@ -227,10 +273,7 @@ def _write_json(rows: Iterator[ReportRow], kind: str, out: TextIO) -> None:
     for i, row in enumerate(rows):
         if i:
             out.write(",")
-        try:
-            out.write(_JSON.encode(row.payload))
-        except ValueError:  # an int beyond the int-to-str digit limit
-            out.write(_json_object(row.payload))
+        out.write(_JSON_ROW[row.kind](row.payload))
     out.write("]\n")
 
 

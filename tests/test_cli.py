@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import json
@@ -214,6 +215,7 @@ def test_oversized_series_indices_are_rejected_while_parsing(capsys, monkeypatch
     ("4", cli.MAX_SEQ_INDEX // 3 * 2 + 1),  # 3 bits
     (str(2**19), cli.MAX_SEQ_INDEX // 10 + 1),  # 20 bits
     (str(-(2**19)), cli.MAX_SEQ_INDEX // 10 + 1),
+    ("1" * 4301, 5),  # beyond the default int-to-str digit limit of 4300
 ], ids=lambda x: x[:12] if isinstance(x, str) else str(x))
 @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
 def test_poly_rejects_values_beyond_the_largest_report(capsys, monkeypatch, x, hi, fmt):
@@ -225,6 +227,50 @@ def test_poly_rejects_values_beyond_the_largest_report(capsys, monkeypatch, x, h
     code, out, err = run(capsys, "poly", "--x", x, "--to", str(hi), "--format", fmt)
     assert (code, out) == (64, "")
     assert err.startswith("jacsum: error: need to * max(2, bit length of |x|) <= ")
+
+
+_LONG = "1" * 4301  # more digits than int() reads under the default digit limit
+
+
+_INTEGERS = [
+    ("0", 0), ("-0", 0), ("+7", 7), ("007", 7), ("-12", -12),
+    (_LONG, (10**4301 - 1) // 9), ("-" + _LONG, -(10**4301 - 1) // 9),
+]
+
+
+@pytest.mark.parametrize("text, value", _INTEGERS, ids=[t[:12] for t, _ in _INTEGERS])
+def test_integer_options_are_read_exactly_under_any_digit_limit(text, value):
+    assert cli._integer(text) == value
+
+
+@pytest.mark.parametrize("text", ["", "-", "1.0", "1e5", "nan", "0x10", "1 2", "--1"])
+def test_malformed_integer_options_are_refused(text):
+    with pytest.raises(argparse.ArgumentTypeError, match="not an integer"):
+        cli._integer(text)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["seq", "--from", _LONG, "--to", "5"], "argument --from: must be <= 30000"),
+    (["poly", "--x", "2", "--from", "-" + _LONG, "--to", "5"],
+     "argument --from: must be >= -30000"),
+    (["verify", "--theorem", "3.1", "--from", "1", "--to", _LONG],
+     "argument --to: must be <= 65536"),
+    (["sum", "--family", "recip", "--start", "3", "--max-terms", "-" + _LONG],
+     "argument --max-terms: must be >= 1"),
+], ids=lambda x: x[0] if isinstance(x, list) else None)
+def test_long_integer_options_are_refused_without_echo(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (64, "")
+    assert message in err and "... (4301 digits)" in err
+    assert _LONG not in err
+
+
+def test_long_malformed_options_are_refused_without_echo(capsys):
+    text = "x" + _LONG
+    code, out, err = run(capsys, "seq", "--from", text, "--to", "5")
+    assert (code, out) == (64, "")
+    assert "argument --from: not an integer: 'x1111" in err and "(4302 characters)" in err
+    assert text not in err
 
 
 @pytest.mark.parametrize("x, hi", [

@@ -11,9 +11,10 @@ from fractions import Fraction
 import pytest
 
 from jacsum import (
-    IdentityResult, SeriesFamily, SeriesSpec, enclose_sum, identity_sweep, verify_range,
+    IdentityResult, SeriesFamily, SeriesSpec, Status, Verdict, enclose_sum, identity_sweep,
+    verify_range,
 )
-from jacsum import cli, jacobsthal
+from jacsum import cli, jacobsthal, jacobsthal_poly
 from jacsum.identities import iter_identities
 from jacsum.intervals import int_str, rat_str
 from jacsum.report import (
@@ -21,6 +22,7 @@ from jacsum.report import (
     EXIT_REFUTED,
     EXIT_UNDECIDED,
     CSV_HEADERS,
+    _JSON_ROW,
     _flatten_for_csv,
     _parse_rat,
     _plain_line,
@@ -121,6 +123,57 @@ def test_writer_writes_each_row_before_the_next_is_made():
 
     write_report(lazily(), "json", "identity", out)
     assert json.loads(out.getvalue()) == [r.payload for r in rows]
+
+
+def _edge_rows() -> list:
+    """Rows reaching every branch of the JSON templates that ROWS may miss."""
+    note = 'a "quoted" back\\slash,\na new line and caf\u00e9'
+    enc = enclose_sum(SeriesSpec(SeriesFamily.ALT_RECIP, 2), Fraction(1, 10**6))
+    return [
+        sequence_row(5, -3, jacobsthal_poly(5, -3)),
+        identity_row(IdentityResult('lemma"1.1', 2, True, 1, 1, "<=\\", note=note)),
+        identity_row(IdentityResult("lemma1.3", 5, False, Fraction(-1, 3), 2, k=2,
+                                    applicable=False)),
+        verdict_row(Verdict("3.1", 4, Status.UNDECIDED)),
+        verdict_row(Verdict("2.2", 3, Status.REFUTED, "stated", decided=-2, expected=5,
+                            enclosure=enc, discrepancy=True, note=note)),
+    ]
+
+
+@pytest.mark.parametrize("kind", sorted(ROWS))
+def test_json_templates_write_what_json_dumps_writes(kind):
+    rows = [*ROWS[kind], *(row for row in _edge_rows() if row.kind == kind)]
+    assert sorted(_JSON_ROW) == sorted(ROWS)
+    for row in rows:
+        text = _JSON_ROW[kind](row.payload)
+        assert text == json.dumps(row.payload, separators=(",", ":"))
+        # the same keys in the same order: a key added to a payload cannot go missing
+        back = json.loads(text)
+        assert list(back) == list(row.payload)
+        if row.payload.get("enclosure") is not None:
+            assert list(back["enclosure"]) == list(row.payload["enclosure"])
+
+
+def test_json_templates_cover_the_edge_cases():
+    payloads = [row.payload for kind in sorted(ROWS) for row in ROWS[kind]]
+    payloads += [row.payload for row in _edge_rows()]
+    for key in ("k", "enclosure", "decided", "expected"):
+        assert any(key in p and p[key] is None for p in payloads), key
+    assert any(p.get("discrepancy") is True for p in payloads)
+    assert any(p.get("x", 0) < 0 for p in payloads)
+    assert any(set('"\\\n\u00e9') <= set(p.get("note", "")) for p in payloads)
+
+
+def test_json_template_writes_a_decided_beyond_the_digit_limit():
+    big = 7 * 10**4400 + 1
+    row = verdict_row(Verdict("3.1", 4, Status.VERIFIED, "proof-implied", decided=big,
+                              expected=2))
+    with _default_digit_limit():
+        text = _JSON_ROW["verdict"](row.payload)
+    digits = int_str(big)
+    assert len(digits) > 4300 and text.count(digits) == 1
+    assert text.replace(digits, "0") == json.dumps({**row.payload, "decided": 0},
+                                                   separators=(",", ":"))
 
 
 def test_writer_exit_code_in_the_same_pass():
