@@ -10,7 +10,9 @@ Subcommands map one-to-one onto the library modules:
 
 Exit codes: 0 all checks verified/decided, 2 at least one refutation or
 failed identity, 3 at least one undecided result (refutation dominates),
-64 usage error.  Output is deterministic: identical invocations produce
+64 usage error, 141 (128 + SIGPIPE) the reader of stdout closed it before
+the report ended, as `| head` does; nothing more is written then, not
+even to stderr.  Output is deterministic: identical invocations produce
 byte-identical reports.
 
 Every report is streamed: each command checks its arguments, then hands
@@ -36,7 +38,7 @@ int-to-str digit limit, which nothing here changes.
 from __future__ import annotations
 
 import argparse
-import re
+import os
 import sys
 import warnings
 from collections.abc import Callable, Iterable, Iterator
@@ -44,6 +46,7 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from .identities import iter_identities
+from .intervals import _INTEGER, _shown
 from .report import (
     ReportRow,
     identity_row,
@@ -59,6 +62,7 @@ from .theorems import THEOREM_IDS, verify_range
 __all__ = ["main"]
 
 EXIT_USAGE = 64
+EXIT_BROKEN_PIPE = 141
 
 # Largest |exponent| a `sum --width` decimal may be written with.  The width
 # digits * 10^exponent is made exact through the integer 10^|exponent|, which
@@ -77,8 +81,9 @@ MAX_IDENTITY_INDEX = 10_000
 # Largest `sum --start` and `verify --from`/`--to`.  A series from index n is
 # summed on the grid 2^-p with p about e*n bits (e the power of J(k) in its
 # terms), and 1 << p is built at once: some 12 GB at n = 10^11.  At this
-# bound one index of any claim or family takes at most about 1.2 s and 18 MB
-# (CPython 3.11, 2 vCPUs); the time grows about 3.7x per doubling of n.
+# bound one index of any claim or family takes at most about 1.1 s and 18 MB,
+# start-up included (3.1 with both variants; CPython 3.11.7, 2 vCPUs); past
+# start-up the time grows about 3.5x per doubling of n.
 MAX_SERIES_INDEX = 65_536
 
 
@@ -88,24 +93,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-# Longest argument an error message quotes whole; a longer one is shown by
-# its first _ECHO_CHARS characters and its length.
-_ECHO_CHARS = 20
-
-_INTEGER = re.compile(r"[+-]?\d+")
-
-
-def _shown(text: str) -> str:
-    """`text` as an error message quotes it."""
-    if len(text) <= _ECHO_CHARS:
-        return repr(text)
-    if _INTEGER.fullmatch(text):
-        size = f"{len(text.lstrip('+-'))} digits"
-    else:
-        size = f"{len(text)} characters"
-    return f"{text[:_ECHO_CHARS]!r}... ({size})"
 
 
 def _integer(text: str) -> int:
@@ -223,7 +210,17 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"jacsum: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return write_report(rows, args.format, kind, sys.stdout)
+    try:
+        code = write_report(rows, args.format, kind, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: what is still buffered, and the interpreter's
+        # flush at exit, go to devnull instead of raising again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 def _report_rows(args: argparse.Namespace) -> tuple[Iterable[ReportRow], str]:

@@ -51,6 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+from .intervals import _shown
 from .sequence import jacobsthal as J
 from .sequence import jacobsthal_range
 
@@ -95,11 +96,6 @@ class IdentityResult:
     @property
     def failed(self) -> bool:
         return self.applicable and not self.holds
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValueError(msg)
 
 
 class _Entry(NamedTuple):
@@ -221,7 +217,7 @@ def _evaluate(
     entry: _Entry, J: Callable[[int], int], n: int, k: int | None = None
 ) -> IdentityResult:
     if n < entry.min_n:
-        raise ValueError(f"{entry.id} needs n >= {entry.min_n}, got {n}")
+        raise ValueError(f"{entry.id} needs n >= {entry.min_n}, got {_shown(n)}")
     holds, lhs, rhs, note = entry.sides(J, n) if k is None else entry.sides(J, n, k)
     applicable = n >= entry.stated_n
     if not applicable:
@@ -248,7 +244,8 @@ def check_cassini(n: int, k: int) -> IdentityResult:
 
     At k = n the left side collapses through J(0) = 0 to -J(n)^2.
     """
-    _require(1 <= k <= n, f"need 1 <= k <= n, got k={k}, n={n}")
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={_shown(k)}, n={_shown(n)}")
     return _evaluate(_CATALOG["lemma1.3"], J, n, k)
 
 
@@ -323,8 +320,10 @@ def iter_identities(max_n: int, cassini_max: int) -> Iterator[IdentityResult]:
     themselves run lazily, so a caller can write each result as it comes
     without holding the sweep.
     """
-    _require(max_n >= 1, f"need max_n >= 1, got {max_n}")
-    _require(cassini_max >= 1, f"need cassini_max >= 1, got {cassini_max}")
+    if max_n < 1:
+        raise ValueError(f"need max_n >= 1, got {_shown(max_n)}")
+    if cassini_max < 1:
+        raise ValueError(f"need cassini_max >= 1, got {_shown(cassini_max)}")
     return _catalog(max_n, cassini_max)
 
 

@@ -1,12 +1,16 @@
 """Exact rational intervals with decidable floor and ceiling.
 
-Endpoints are `fractions.Fraction`, so every comparison on a decision path
-is exact.  No floating point enters any verdict.
+`RatInterval` has `fractions.Fraction` endpoints.  `Reciprocal` is the
+exact interval [d/b, d/a] of integers, the reciprocal of [a/d, b/d]; it
+decides floors, ceilings and bound tests by integer division and
+cross-multiplication, with no gcd.  Every comparison on a decision path
+is exact: no floating point enters any verdict.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -14,6 +18,7 @@ from typing import Union
 __all__ = [
     "NotInvertibleError",
     "RatInterval",
+    "Reciprocal",
     "ceil_decide",
     "floor_decide",
     "int_str",
@@ -52,6 +57,40 @@ def int_str(value: int) -> str:
         chunks.append(str(low).zfill(_CHUNK))
     chunks.append(str(value))
     return sign + "".join(reversed(chunks))
+
+
+# Longest value an error message quotes whole; a longer one is shown by its
+# first _ECHO_CHARS characters and its length.
+_ECHO_CHARS = 20
+
+_INTEGER = re.compile(r"[+-]?\d+")
+
+
+def _shown(value: int | str) -> str:
+    """`value` as an error message quotes it, in at most about 60 characters.
+
+    An int is written as str() writes it while it has at most _ECHO_CHARS
+    digits.  A longer one is cut to its leading digits by one division by
+    a power of ten, so it is never converted whole, whatever the
+    interpreter's int-to-str digit limit.  Text, such as a command-line
+    argument, is quoted with repr().
+    """
+    if isinstance(value, int):
+        # 30102999 / 10^8 < log10(2), so 10^drop <= |value|: at least
+        # _ECHO_CHARS digits are left, and few more than that
+        drop = max(0, value.bit_length() * 30102999 // 10**8 - _ECHO_CHARS)
+        head = str(abs(value) // 10**drop)
+        if drop == 0 and len(head) <= _ECHO_CHARS:
+            return str(value)
+        sign = "-" if value < 0 else ""
+        return f"{sign}{head[:_ECHO_CHARS]}... ({len(head) + drop} digits)"
+    if len(value) <= _ECHO_CHARS:
+        return repr(value)
+    if _INTEGER.fullmatch(value):
+        size = f"{len(value.lstrip('+-'))} digits"
+    else:
+        size = f"{len(value)} characters"
+    return f"{value[:_ECHO_CHARS]!r}... ({size})"
 
 
 def rat_str(value: RatLike) -> str:
@@ -126,3 +165,48 @@ def ceil_decide(iv: RatInterval) -> int | None:
     """
     lo = math.ceil(iv.lo)
     return lo if lo == math.ceil(iv.hi) else None
+
+
+class Reciprocal:
+    """The exact interval [d/b, d/a] for integers d > 0 and a <= b of one sign.
+
+    It is the image of [a/d, b/d] under x -> 1/x, so a sum enclosure
+    [lo/2^p, hi/2^p] that avoids zero has the reciprocal
+    Reciprocal(1 << p, lo, hi).  Floors, ceilings and comparisons with an
+    integer c are decided in integers: with a and b made positive (all
+    three negated when they are negative), c < d/b is c*b < d.  No
+    `Fraction` is built and no gcd is taken.
+    """
+
+    __slots__ = ("d", "a", "b")
+
+    def __init__(self, d: int, a: int, b: int) -> None:
+        if a < 0:
+            d, a, b = -d, -a, -b
+        self.d, self.a, self.b = d, a, b
+
+    def floor(self) -> int | None:
+        """Common floor of the interval, or None if it straddles; see floor_decide."""
+        lo = self.d // self.b
+        return lo if lo == self.d // self.a else None
+
+    def ceil(self) -> int | None:
+        """Common ceiling of the interval, or None if it straddles; see ceil_decide."""
+        lo = -(-self.d // self.b)
+        return lo if lo == -(-self.d // self.a) else None
+
+    def above(self, c: int) -> bool:
+        """c < lo: the whole interval lies strictly above c."""
+        return c * self.b < self.d
+
+    def at_least(self, c: int) -> bool:
+        """c <= lo."""
+        return c * self.b <= self.d
+
+    def below(self, c: int) -> bool:
+        """hi < c: the whole interval lies strictly below c."""
+        return self.d < c * self.a
+
+    def at_most(self, c: int) -> bool:
+        """hi <= c."""
+        return self.d <= c * self.a

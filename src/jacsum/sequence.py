@@ -9,6 +9,8 @@ values it asked for.
 
 from __future__ import annotations
 
+from .intervals import _shown
+
 __all__ = [
     "jacobsthal",
     "jacobsthal_closed_form",
@@ -21,7 +23,7 @@ def jacobsthal(n: int) -> int:
     """n-th Jacobsthal number, exact at any index, from the closed form
     (2^n - (-1)^n) / 3 without the recurrence."""
     if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
+        raise ValueError(f"index must be >= 0, got {_shown(n)}")
     return ((1 << n) - (-1 if n & 1 else 1)) // 3
 
 
@@ -36,7 +38,7 @@ def jacobsthal_range(lo: int, hi: int) -> list[int]:
     J(lo+1).
     """
     if not 0 <= lo <= hi:
-        raise ValueError(f"need 0 <= lo <= hi, got lo={lo}, hi={hi}")
+        raise ValueError(f"need 0 <= lo <= hi, got lo={_shown(lo)}, hi={_shown(hi)}")
     a, b = jacobsthal(lo), jacobsthal(lo + 1)
     values = []
     for n in range(lo, hi + 1):
@@ -55,7 +57,7 @@ def jacobsthal_poly(n: int, x: int) -> int:
     jacobsthal(n); at x = 1 it is the Fibonacci sequence.
     """
     if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
+        raise ValueError(f"index must be >= 0, got {_shown(n)}")
     a, b = 0, 1
     for _ in range(n):
         a, b = b, b + x * a

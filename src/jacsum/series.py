@@ -24,10 +24,11 @@ omitted tail.  Tail bounds:
 fractions, where p = e*K + GUARD_BITS (e = 2 for the squared families,
 1 otherwise).  Each term's magnitude 2^p / J(k)^e is rounded down into
 the low sum and up into the high sum (for a negative term the pair is
-negated and swapped), and the exact tail bound is rounded outward onto
-the same grid.  Endpoints are therefore exact rationals m / 2^p, and the
-interval still contains the limit.  Each enclosure is intersected with
-the previous one, so the sequence stays nested.  `partial_sum`,
+negated and swapped), and the tail bound is rounded outward onto the
+same grid in integers: shifts of 1, thirds of powers of two, or one
+division by J(K+1)^e.  Endpoints are therefore exact rationals m / 2^p,
+and the interval still contains the limit.  Each enclosure is intersected
+with the previous one, so the sequence stays nested.  `partial_sum`,
 `series_term` and `tail_bound` remain exact.
 
 The rounded terms come from the Lambert expansions, not from one long
@@ -70,9 +71,14 @@ proof-implied bracket, for one, first decides at K = 3n - 3 (measured at
 n = 32, 64, 96 and 128), which a fixed start + 4096 would cut off for
 every even n >= 2050.
 
-`refine_inverse` is the one loop that inverts enclosures: it skips
-enclosures that straddle zero, takes the reciprocal of the rest and asks
-a caller-supplied judge about it until the judge settles.  Both
+`refine_inverse` is the one loop that inverts enclosures, and it runs on
+the integers (lo, hi, p) of each round: it skips rounds with
+lo <= 0 <= hi and hands a caller-supplied judge the exact reciprocal of
+the rest, `intervals.Reciprocal(1 << p, lo, hi)`, which decides floors,
+ceilings and bound tests by integer division and cross-multiplication,
+until the judge settles.  No `Fraction` is built and no gcd is taken in
+the loop; `Fraction`s are made once, for the enclosure and reciprocal it
+returns, with each endpoint reduced by its trailing zero bits.  Both
 `enclose_inverse` and every theorem claim run through it.
 """
 
@@ -84,13 +90,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterator, TypeVar
 
-from .intervals import (
-    RatInterval,
-    ceil_decide,
-    floor_decide,
-    interval_reciprocal,
-    rat_str,
-)
+from .intervals import RatInterval, Reciprocal, _shown, rat_str
 from .sequence import jacobsthal as J
 
 __all__ = [
@@ -149,13 +149,13 @@ class SeriesSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "family", SeriesFamily(self.family))
         if self.start < 1:
-            raise ValueError(f"start must be >= 1, got {self.start}")
+            raise ValueError(f"start must be >= 1, got {_shown(self.start)}")
 
 
 def series_term(spec: SeriesSpec, k: int) -> Fraction:
     """Exact k-th term of the series."""
     if k < 1:
-        raise ValueError(f"term index must be >= 1, got {k}")
+        raise ValueError(f"term index must be >= 1, got {_shown(k)}")
     denom = J(k) ** 2 if spec.family.squared else J(k)
     num = (-1) ** k if spec.family.alternating else 1
     return Fraction(num, denom)
@@ -164,7 +164,7 @@ def series_term(spec: SeriesSpec, k: int) -> Fraction:
 def partial_sum(spec: SeriesSpec, last: int) -> Fraction:
     """Exact sum of terms from spec.start through `last` inclusive."""
     if last < spec.start:
-        raise ValueError(f"last index {last} is below start {spec.start}")
+        raise ValueError(f"last index {_shown(last)} is below start {_shown(spec.start)}")
     total = Fraction(0)
     for k in range(spec.start, last + 1):
         total += series_term(spec, k)
@@ -182,7 +182,7 @@ def tail_bound(spec: SeriesSpec, last: int) -> RatInterval:
     if last < _min_tail_index(spec):
         raise NeedMoreTermsError(
             f"tail bound for {spec.family.value} needs last >= {_min_tail_index(spec)},"
-            f" got {last}"
+            f" got {_shown(last)}"
         )
     if spec.family is SeriesFamily.RECIP:
         return RatInterval(Fraction(2) ** (1 - last), Fraction(2) ** (2 - last))
@@ -215,7 +215,7 @@ def _truncation_cap(spec: SeriesSpec, max_terms: int | None) -> int:
     if max_terms is None:
         return spec.start + max(MAX_EXTRA_TERMS, 4 * spec.start)
     if max_terms < 1:
-        raise ValueError(f"max_terms must be >= 1, got {max_terms}")
+        raise ValueError(f"max_terms must be >= 1, got {_shown(max_terms)}")
     return spec.start + max_terms - 1
 
 
@@ -277,9 +277,12 @@ def _lambert_floors(family: SeriesFamily, p: int, k0: int, last: int) -> int:
 def _dyadic_bounds(spec: SeriesSpec, last: int) -> tuple[int, int, int]:
     """(lo, hi, p) with lo / 2^p <= limit <= hi / 2^p and p = e*last + GUARD_BITS.
 
-    Each term 1/J(k)^e is floored into `lo` and ceiled into `hi` (negated
-    and swapped for negative terms), then the exact tail bound beyond
-    `last` is rounded outward onto the same grid.  Terms below
+    Needs last >= _min_tail_index(spec).  Each term 1/J(k)^e is floored
+    into `lo` and ceiled into `hi` (negated and swapped for negative
+    terms), then the tail bound beyond `last` = K is rounded outward onto
+    the same grid, in integers: 2^(p+1-K) and 2^(p+2-K) (recip),
+    floor(2^(p+2-2K)/3) and ceil(2^(p+4-2K)/3) (recip-squared), or 0 and
+    the rounded first omitted term (alternating).  Terms below
     k0 = max(start, isqrt(p)) are divided out one by one; the rest come
     from `_lambert_floors`, and for them (k >= 5, J(k) > 1) the ceiling
     is the floor plus one.  A pass with too few terms from k0 on divides
@@ -306,10 +309,56 @@ def _dyadic_bounds(spec: SeriesSpec, last: int) -> tuple[int, int, int]:
         negative = (last + 1) // 2 - k0 // 2 if alternating else 0
         lo += floors - negative
         hi += floors + (last - k0 + 1 - negative)
-    tail = tail_bound(spec, last)
-    lo += (tail.lo.numerator << p) // tail.lo.denominator
-    hi -= (-tail.hi.numerator << p) // tail.hi.denominator
+    # tail_bound(spec, last), rounded outward onto the grid
+    if alternating:
+        # between 0 and the first omitted term, +-1/J(last+1)^power
+        q, r = divmod(one, J(last + 1) ** power)
+        if last % 2:
+            hi += q + (r != 0)
+        else:
+            lo -= q + (r != 0)
+    elif power == 1:
+        lo += 1 << (p + 1 - last)
+        hi += 1 << (p + 2 - last)
+    else:
+        lo += (1 << (p + 2 - 2 * last)) // 3
+        hi += -(-(1 << (p + 4 - 2 * last)) // 3)
     return lo, hi, p
+
+
+def _rounds(spec: SeriesSpec, max_terms: int | None) -> Iterator[tuple[int, int, int, int]]:
+    """(lo, hi, p, K) of each refinement round: the enclosure
+    [lo / 2^p, hi / 2^p] at K, 2K, ... up to the cap, each inside the one
+    before.  Empty when the budget cannot reach the first valid truncation.
+    """
+    cap = _truncation_cap(spec, max_terms)
+    if cap < _min_tail_index(spec):
+        return
+    k = min(spec.start + INITIAL_EXTRA_TERMS, cap)
+    lo, hi, p = _dyadic_bounds(spec, k)
+    while True:
+        if lo > hi:
+            raise ValueError(
+                f"empty enclosure of {spec.family.value} from {_shown(spec.start)} at K = {k}"
+            )
+        yield lo, hi, p, k
+        if k >= cap:
+            return
+        k = min(2 * k, cap)
+        new_lo, new_hi, new_p = _dyadic_bounds(spec, k)
+        # stay nested: intersect with the previous enclosure, moved onto the finer grid
+        shift = new_p - p
+        lo, hi, p = max(new_lo, lo << shift), min(new_hi, hi << shift), new_p
+
+
+def _dyadic(m: int, p: int) -> Fraction:
+    """m / 2^p, reduced by the trailing zero bits of m, not by a gcd."""
+    t = min(p, (m & -m).bit_length() - 1) if m else p
+    return Fraction(m >> t, 1 << (p - t))
+
+
+def _enclosure(spec: SeriesSpec, lo: int, hi: int, p: int, k: int) -> Enclosure:
+    return Enclosure(spec, RatInterval(_dyadic(lo, p), _dyadic(hi, p)), k)
 
 
 def enclosures(spec: SeriesSpec, *, max_terms: int | None = None) -> Iterator[Enclosure]:
@@ -320,20 +369,8 @@ def enclosures(spec: SeriesSpec, *, max_terms: int | None = None) -> Iterator[En
     budget cannot even reach the first valid truncation the iterator is
     empty; callers then report the result undecided.
     """
-    cap = _truncation_cap(spec, max_terms)
-    if cap < _min_tail_index(spec):
-        return
-    k = min(spec.start + INITIAL_EXTRA_TERMS, cap)
-    lo, hi, p = _dyadic_bounds(spec, k)
-    while True:
-        yield Enclosure(spec, RatInterval(Fraction(lo, 1 << p), Fraction(hi, 1 << p)), k)
-        if k >= cap:
-            return
-        k = min(2 * k, cap)
-        new_lo, new_hi, new_p = _dyadic_bounds(spec, k)
-        # stay nested: intersect with the previous enclosure, moved onto the finer grid
-        shift = new_p - p
-        lo, hi, p = max(new_lo, lo << shift), min(new_hi, hi << shift), new_p
+    for rnd in _rounds(spec, max_terms):
+        yield _enclosure(spec, *rnd)
 
 
 def enclose_sum(
@@ -380,28 +417,35 @@ _T = TypeVar("_T")
 
 def refine_inverse(
     spec: SeriesSpec,
-    judge: Callable[[RatInterval], _T | None],
+    judge: Callable[[Reciprocal], _T | None],
     *,
     max_terms: int | None = None,
 ) -> tuple[_T | None, RatInterval | None, Enclosure | None]:
     """Refine until `judge` settles on the reciprocal of the sum enclosure.
 
-    Enclosures that straddle zero are skipped; for every other one the
-    judge is asked about the reciprocal interval, and the first result
-    that is not None ends the refinement.  Returns (result, last reciprocal
-    interval, last sum enclosure); result is None when the cap came first.
+    Enclosures that straddle zero are skipped; for every other one, the
+    judge is asked about its exact reciprocal, a `Reciprocal`, and the
+    first result that is not None ends the refinement.  Returns (result,
+    last reciprocal interval, last sum enclosure); result is None when the
+    cap came first.
     """
-    best: Enclosure | None = None
-    inverse: RatInterval | None = None
-    for enc in enclosures(spec, max_terms=max_terms):
-        best = enc
-        if enc.interval.contains_zero():
+    result = last = inverted = None
+    for last in _rounds(spec, max_terms):
+        lo, hi, p, _ = last
+        if lo <= 0 <= hi:
             continue
-        inverse = interval_reciprocal(enc.interval)
-        result = judge(inverse)
+        inverted = last
+        result = judge(Reciprocal(1 << p, lo, hi))
         if result is not None:
-            return result, inverse, enc
-    return None, inverse, best
+            break
+    enc = inverse = None
+    if last is not None:
+        enc = _enclosure(spec, *last)
+    if inverted is not None:
+        iv = (enc if inverted is last else _enclosure(spec, *inverted)).interval
+        # Fraction ** -1 swaps numerator and denominator without a gcd
+        inverse = RatInterval(iv.hi ** -1, iv.lo ** -1)
+    return result, inverse, enc
 
 
 def enclose_inverse(
@@ -417,6 +461,6 @@ def enclose_inverse(
     """
     if mode not in ("floor", "ceil"):
         raise ValueError(f"mode must be 'floor' or 'ceil', got {mode!r}")
-    decide = floor_decide if mode == "floor" else ceil_decide
+    decide = Reciprocal.floor if mode == "floor" else Reciprocal.ceil
     value, inverse, best = refine_inverse(spec, decide, max_terms=max_terms)
     return InverseEnclosure(spec, mode, value, inverse, best)

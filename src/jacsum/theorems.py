@@ -27,16 +27,20 @@ Every claim reading is one row of the table `_CLAIMS`: the theorem id and
 variant, the series family, the lowest index and the parity the claim is
 stated for, the integer it compares against (`expected(n)`), a judge that
 decides the claim from the reciprocal of a sum enclosure, and the note for
-rows left undecided.  A claim's rows appear in the order its verifier
-returns them.  All rows run through the one refinement loop,
-`series.refine_inverse`, which refines the sum until the judge settles or
-the `max_terms` budget runs out; the public verifiers are thin views of
-the table.  The table is also the only statement of which indices a claim
-covers: `verify_range` runs every index of the requested parity through
-it and drops the readings that answer not-applicable.  It walks the
-indices in ascending order and puts each index's readings in variant
-order, so a sweep comes out in (n, variant) order by construction, never
-by sorting it.
+rows left undecided.  A judge gets that reciprocal as an
+`intervals.Reciprocal`, the exact interval [2^p/hi, 2^p/lo] of the
+enclosure's integers, and decides floors, ceilings and bound tests on it
+in integers; `Fraction`s are made only for the enclosure and reciprocal
+interval of the round that settles it.  A claim's rows appear in the
+order its verifier returns them.  All rows run through the one refinement
+loop, `series.refine_inverse`, which refines the sum until the judge
+settles or the `max_terms` budget runs out; the public verifiers are thin
+views of the table.  The table is also the only statement of which
+indices a claim covers: `verify_range` runs every index of the requested
+parity through it and drops the readings that answer not-applicable.  It
+walks the indices in ascending order and puts each index's readings in
+variant order, so a sweep comes out in (n, variant) order by
+construction, never by sorting it.
 
 Every verified/refuted status is backed by the enclosure stored on the
 verdict: the claim holds (or fails) on that entire interval, so the
@@ -54,7 +58,7 @@ from functools import partial
 from operator import attrgetter
 from typing import Callable
 
-from .intervals import RatInterval, ceil_decide, floor_decide, int_str
+from .intervals import Reciprocal, _shown, int_str
 from .sequence import jacobsthal as J
 from .series import Enclosure, SeriesFamily, SeriesSpec, refine_inverse
 
@@ -102,7 +106,7 @@ class Verdict:
 # A judge gets (n, expected, reciprocal interval) and returns
 # (status, decided, note) once the claim is settled on the whole interval,
 # or None to keep refining.
-_Judge = Callable[[int, "int | None", RatInterval], "tuple[Status, int | None, str] | None"]
+_Judge = Callable[[int, "int | None", Reciprocal], "tuple[Status, int | None, str] | None"]
 
 
 @dataclass(frozen=True)
@@ -130,9 +134,8 @@ def _rounding(
     expected value; `suffix(n)` is appended to it.
     """
 
-    def judge(n: int, expected: int, inverse: RatInterval):
-        # looked up per call, so wrappers installed on the module see every decision
-        decided = (floor_decide if mode == "floor" else ceil_decide)(inverse)
+    def judge(n: int, expected: int, inverse: Reciprocal):
+        decided = inverse.floor() if mode == "floor" else inverse.ceil()
         if decided is None:
             return None
         ok = decided <= expected if rule == "<=" else decided == expected
@@ -143,11 +146,11 @@ def _rounding(
     return judge
 
 
-def _judge_2_1(n: int, expected: int | None, inverse: RatInterval):
+def _judge_2_1(n: int, expected: int | None, inverse: Reciprocal):
     lo_bound, hi_bound = J(n - 2), 4 * (J(n - 2) + 1)
-    if lo_bound < inverse.lo and inverse.hi < hi_bound:
+    if inverse.above(lo_bound) and inverse.below(hi_bound):
         status, relation = Status.VERIFIED, "within"
-    elif inverse.hi <= lo_bound or inverse.lo >= hi_bound:
+    elif inverse.at_most(lo_bound) or inverse.at_least(hi_bound):
         status, relation = Status.REFUTED, "escapes"
     else:
         return None
@@ -157,26 +160,26 @@ def _judge_2_1(n: int, expected: int | None, inverse: RatInterval):
 _FLOOR_IS_ZERO = _rounding("floor", "==", "floor must equal J(0)J(1) = 0 exactly")
 
 
-def _judge_2_2_proof(n: int, expected: int | None, inverse: RatInterval):
+def _judge_2_2_proof(n: int, expected: int | None, inverse: Reciprocal):
     # n = 1: J(0)J(1) = 0, so the floor itself must be 0.  n >= 3: the sum
     # is positive, so sum < 1/(J(n-1)J(n)) is exactly inverse > J(n-1)J(n).
     if n == 1:
         return _FLOOR_IS_ZERO(n, expected, inverse)
     bound = J(n - 1) * J(n)
-    if inverse.lo > bound:
+    if inverse.above(bound):
         return Status.VERIFIED, None, f"sum < 1/(J(n-1)J(n)) = 1/{int_str(bound)}"
-    if inverse.hi <= bound:
+    if inverse.at_most(bound):
         return Status.REFUTED, None, f"sum >= 1/(J(n-1)J(n)) = 1/{int_str(bound)}"
     return None
 
 
-def _judge_3_1_proof(n: int, expected: int, inverse: RatInterval):
+def _judge_3_1_proof(n: int, expected: int, inverse: Reciprocal):
     # the derivation's strict bracket expected < inverse < expected + 1
-    decided = floor_decide(inverse)
+    decided = inverse.floor()
     if decided is not None and decided != expected:
         note = f"decided floor {int_str(decided)} != 2^(n-1)-1 = {int_str(expected)}"
         return Status.REFUTED, decided, note
-    if decided == expected and expected < inverse.lo and inverse.hi < expected + 1:
+    if decided == expected and inverse.above(expected) and inverse.below(expected + 1):
         note = f"inverse strictly inside ({int_str(expected)}, {int_str(expected + 1)})"
         return Status.VERIFIED, decided, note
     return None
@@ -243,7 +246,7 @@ def _verdicts(theorem: str, n: int, max_terms: int | None) -> tuple[Verdict, ...
     for c in _claims(theorem):
         if n < c.min_n or not _has_parity(n, c.parity):
             if n < 1 and c.min_n == 1:
-                raise ValueError(f"need n >= 1, got {n}")
+                raise ValueError(f"need n >= 1, got {_shown(n)}")
             note = f"stated for n >= {c.min_n}" if n < c.min_n else f"stated for {c.parity} n"
             out.append(Verdict(theorem, n, Status.NOT_APPLICABLE, c.variant, note=note))
             continue
@@ -336,7 +339,7 @@ def verify_range(
     variant order; the sweep is never sorted as a whole.
     """
     if not 1 <= n_lo <= n_hi:
-        raise ValueError(f"need 1 <= n_lo <= n_hi, got {n_lo}..{n_hi}")
+        raise ValueError(f"need 1 <= n_lo <= n_hi, got {_shown(n_lo)}..{_shown(n_hi)}")
     if parity not in ("any", "even", "odd"):
         raise ValueError(f"parity must be any/even/odd, got {parity!r}")
     if variant == "default":

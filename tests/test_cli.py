@@ -399,6 +399,20 @@ def test_cli_byte_determinism_in_subprocess():
     assert first.returncode == second.returncode == 2  # stated side refuted from n=3
 
 
+@pytest.mark.parametrize("fmt", ["json", "plain"])
+def test_a_reader_that_closes_early_ends_the_run_quietly(fmt):
+    # the report is far larger than a pipe's buffer, so the writer is still
+    # writing when the reader closes its end after 10 bytes
+    cmd = [sys.executable, "-m", "jacsum", "seq", "--to", "3000", "--format", fmt]
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
+    assert err == b""
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                     reason="interpreter has no int-to-str digit limit")
 def test_import_keeps_interpreter_digit_limit():

@@ -8,12 +8,13 @@ from hypothesis import given, strategies as st
 from jacsum import (
     NotInvertibleError,
     RatInterval,
+    Reciprocal,
     ceil_decide,
     floor_decide,
     interval_reciprocal,
     rat_str,
 )
-from jacsum.intervals import int_str
+from jacsum.intervals import _shown, int_str
 
 F = Fraction
 
@@ -137,3 +138,120 @@ def test_int_str_matches_str_under_the_lowest_digit_limit():
         sys.set_int_max_str_digits(old)
     assert got == want
     assert ratios == [f"{want[11]}/{want[12]}", want[8], want[9]]
+
+
+# --- the integer reciprocal view against the Fraction path ---
+
+ends = st.one_of(
+    st.integers(1, 40).map(F),
+    st.fractions(min_value=F(1, 60), max_value=F(1000), max_denominator=60),
+)
+
+
+@st.composite
+def reciprocal_views(draw):
+    """(d, a, b) with d > 0 and a <= b of one sign, both signs drawn.
+
+    Either the reciprocal side is drawn, often with integer endpoints, and
+    written as [d/b, d/a] at a random common scale, or the sum side is
+    drawn on a dyadic grid the way the series kernel makes it.
+    """
+    if draw(st.booleans()):
+        x, y = sorted((draw(ends), draw(ends)))
+        if draw(st.booleans()):
+            x, y = -y, -x
+        scale = draw(st.integers(1, 2**70))
+        (l1, l2), (h1, h2) = x.as_integer_ratio(), y.as_integer_ratio()
+        return h1 * l1 * scale, h2 * l1 * scale, l2 * h1 * scale
+    p = draw(st.integers(0, 80))
+    a, b = sorted(draw(st.lists(st.integers(1, 2**90), min_size=2, max_size=2)))
+    return (1 << p, a, b) if draw(st.booleans()) else (1 << p, -b, -a)
+
+
+@given(reciprocal_views())
+def test_reciprocal_view_decides_as_the_fraction_path(dab):
+    d, a, b = dab
+    view = Reciprocal(d, a, b)
+    ref = interval_reciprocal(RatInterval(F(a, d), F(b, d)))
+    assert view.floor() == floor_decide(ref)
+    assert view.ceil() == ceil_decide(ref)
+    # every integer an endpoint touches, and its neighbours
+    near = {f(end) + step for end in (ref.lo, ref.hi) for f in (math.floor, math.ceil)
+            for step in (-1, 0, 1)}
+    for c in near:
+        assert view.above(c) == (c < ref.lo)
+        assert view.at_least(c) == (c <= ref.lo)
+        assert view.below(c) == (ref.hi < c)
+        assert view.at_most(c) == (ref.hi <= c)
+
+
+def test_reciprocal_view_examples():
+    # [1/3, 1/2] inverts to [2, 3]; [-1/2, -1/3] to [-3, -2]
+    up, down = Reciprocal(6, 2, 3), Reciprocal(6, -3, -2)
+    assert (up.floor(), up.ceil(), down.floor(), down.ceil()) == (None, None, None, None)
+    assert up.at_least(2) and not up.above(2) and up.at_most(3) and not up.below(3)
+    assert down.at_least(-3) and not down.above(-3) and down.at_most(-2) and not down.below(-2)
+    # [2/5, 3/5] inverts to [5/3, 5/2]; [-3/5, -2/5] to [-5/2, -5/3]
+    assert Reciprocal(5, 2, 3).floor() is None and Reciprocal(5, 2, 2).floor() == 2
+    assert Reciprocal(5, -2, -2).floor() == -3 and Reciprocal(5, -2, -2).ceil() == -2
+
+
+# --- bounded quotes in error messages ---
+
+
+@given(st.one_of(
+    st.integers(-10**60, 10**60),
+    st.integers(0, 1200).map(lambda k: 10**k),
+    st.integers(1, 1200).map(lambda k: 10**k - 1),
+    st.integers(1, 10**4).map(lambda k: -(2**k)),
+))
+def test_shown_quotes_the_leading_digits_and_the_length(value):
+    text = int_str(value)
+    digits = text.lstrip("-")
+    shown = _shown(value)
+    if len(digits) <= 20:
+        assert shown == text
+    else:
+        assert shown == f"{text[:len(text) - len(digits) + 20]}... ({len(digits)} digits)"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="interpreter has no int-to-str digit limit")
+def test_range_checks_quote_huge_values_in_short():
+    from jacsum import (
+        SeriesSpec, check_cassini, check_lemma_1_1, enclosures, jacobsthal,
+        jacobsthal_poly, jacobsthal_range, partial_sum, series_term, tail_bound,
+        verify_range, verify_thm_3_1,
+    )
+    from jacsum.identities import iter_identities
+
+    huge = -(10**5000)
+    spec = SeriesSpec("recip", 1)
+    checks = [
+        (lambda: jacobsthal(huge), "index must be >= 0, got "),
+        (lambda: jacobsthal_range(huge, 1), "need 0 <= lo <= hi, got lo="),
+        (lambda: jacobsthal_poly(huge, 2), "index must be >= 0, got "),
+        (lambda: SeriesSpec("recip", huge), "start must be >= 1, got "),
+        (lambda: series_term(spec, huge), "term index must be >= 1, got "),
+        (lambda: partial_sum(spec, huge), "last index "),
+        (lambda: tail_bound(spec, huge), "tail bound for recip needs last >= 3, got "),
+        (lambda: next(enclosures(spec, max_terms=huge)), "max_terms must be >= 1, got "),
+        (lambda: verify_range("3.1", huge, 1), "need 1 <= n_lo <= n_hi, got "),
+        (lambda: verify_thm_3_1(huge), "need n >= 1, got "),
+        (lambda: next(iter_identities(huge, 1)), "need max_n >= 1, got "),
+        (lambda: next(iter_identities(1, huge)), "need cassini_max >= 1, got "),
+        (lambda: check_cassini(1, huge), "need 1 <= k <= n, got k="),
+        (lambda: check_lemma_1_1(huge), "lemma1.1 needs n >= 0, got "),
+    ]
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        for check, prefix in checks:
+            with pytest.raises(ValueError) as caught:
+                check()
+            message = str(caught.value)
+            assert message.startswith(prefix), message
+            assert "-10000000000000000000... (5001 digits)" in message
+            assert len(message) <= len(prefix) + 60, message
+    finally:
+        sys.set_int_max_str_digits(old)

@@ -15,6 +15,7 @@ from jacsum import (
     enclosures,
     interval_reciprocal,
     partial_sum,
+    refine_inverse,
     series_term,
     tail_bound,
 )
@@ -346,3 +347,24 @@ def test_index_zero_and_empty_budgets_are_rejected(family):
         next(enclosures(s, max_terms=0))
     with pytest.raises(ValueError, match="width goal must be positive"):
         enclose_sum(s, 0)
+
+
+def test_disjoint_rounds_are_refused_not_inverted(monkeypatch):
+    # rounds are intersected as integers; bounds that miss each other leave
+    # an empty enclosure, which must raise rather than reach a judge
+    real = series._dyadic_bounds
+
+    def drifting(spec, last):
+        lo, hi, p = real(spec, last)
+        return (lo, hi, p) if last == spec.start + 8 else (lo + (1 << p), hi + (1 << p), p)
+
+    monkeypatch.setattr(series, "_dyadic_bounds", drifting)
+    with pytest.raises(ValueError, match="empty enclosure of alt-recip from 5 at K = 26"):
+        refine_inverse(spec("alt-recip", 5), lambda inverse: None)
+
+
+@given(st.integers(-2**80, 2**80), st.integers(0, 70), st.integers(0, 90))
+def test_dyadic_endpoints_are_reduced_by_their_trailing_zeros(odd, p, zeros):
+    # odd * 2^zeros / 2^p, including integers (zeros >= p), zero and negatives
+    m = (2 * odd + 1) << zeros if odd % 3 else 0
+    assert series._dyadic(m, p) == Fraction(m, 1 << p)

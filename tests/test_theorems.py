@@ -21,7 +21,7 @@ from jacsum import (
     verify_thm_3_3,
 )
 from jacsum import theorems
-from jacsum.intervals import RatInterval
+from jacsum.intervals import Reciprocal
 
 import oracles
 
@@ -300,8 +300,15 @@ def test_deep_index_memory_is_linear_and_released():
 # The judges, fed made-up reciprocal intervals: a claim is settled only when
 # the whole interval is on one side of its bound, and an endpoint touching a
 # strict bound keeps the refinement going.
+def _view(lo, hi):
+    """The reciprocal interval [l1/l2, h1/h2] as judges get it: [d/b, d/a]
+    with d = h1*l1, a = h2*l1 and b = l2*h1."""
+    (l1, l2), (h1, h2) = F(lo).as_integer_ratio(), F(hi).as_integer_ratio()
+    return Reciprocal(h1 * l1, h2 * l1, l2 * h1)
+
+
 def _judged(judge, n, expected, lo, hi):
-    result = judge(n, expected, RatInterval(F(lo), F(hi)))
+    result = judge(n, expected, _view(lo, hi))
     return None if result is None else result[:2]
 
 
@@ -322,8 +329,8 @@ def test_judge_2_1_on_made_up_intervals(lo, hi, judged):
 
 
 def test_judge_2_1_notes_name_the_bounds():
-    assert theorems._judge_2_1(4, None, RatInterval(F(9), F(10)))[2] == "inverse escapes (1, 8)"
-    assert theorems._judge_2_1(4, None, RatInterval(F(2), F(3)))[2] == "inverse within (1, 8)"
+    assert theorems._judge_2_1(4, None, _view(9, 10))[2] == "inverse escapes (1, 8)"
+    assert theorems._judge_2_1(4, None, _view(2, 3))[2] == "inverse within (1, 8)"
 
 
 @pytest.mark.parametrize("n, expected, lo, hi, judged", [
@@ -344,7 +351,7 @@ def test_judge_2_2_proof_on_made_up_intervals(n, expected, lo, hi, judged):
 
 
 def test_judge_2_2_proof_refutation_note():
-    note = theorems._judge_2_2_proof(3, None, RatInterval(F(2), F(3)))[2]
+    note = theorems._judge_2_2_proof(3, None, _view(2, 3))[2]
     assert note == "sum >= 1/(J(n-1)J(n)) = 1/3"
 
 
@@ -364,7 +371,7 @@ def test_judge_3_1_proof_on_made_up_intervals(lo, hi, judged):
 
 
 def test_judge_3_1_proof_refutation_note():
-    note = theorems._judge_3_1_proof(4, 7, RatInterval(F(41, 5), F(17, 2)))[2]
+    note = theorems._judge_3_1_proof(4, 7, _view(F(41, 5), F(17, 2)))[2]
     assert note == "decided floor 8 != 2^(n-1)-1 = 7"
 
 
