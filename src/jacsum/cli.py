@@ -38,6 +38,7 @@ int-to-str digit limit, which nothing here changes.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import warnings
@@ -147,7 +148,10 @@ def _width_goal(text: str) -> Fraction:
     return value
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process: `parse_args` keeps
+    no state from one call to the next, so `main` reuses it."""
     parser = _Parser(prog="jacsum", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

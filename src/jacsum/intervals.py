@@ -66,15 +66,20 @@ _ECHO_CHARS = 20
 _INTEGER = re.compile(r"[+-]?\d+")
 
 
-def _shown(value: int | str) -> str:
-    """`value` as an error message quotes it, in at most about 60 characters.
+def _shown(value: int | Fraction | str) -> str:
+    """`value` as an error message quotes it, in at most about 60 characters
+    (about 120 for a rational).
 
     An int is written as str() writes it while it has at most _ECHO_CHARS
     digits.  A longer one is cut to its leading digits by one division by
     a power of ten, so it is never converted whole, whatever the
-    interpreter's int-to-str digit limit.  Text, such as a command-line
-    argument, is quoted with repr().
+    interpreter's int-to-str digit limit.  A `Fraction` is written as
+    "p/q" like str() writes it, with p and q each quoted as an int.  Text,
+    such as a command-line argument, is quoted with repr().
     """
+    if isinstance(value, Fraction):
+        num = _shown(value.numerator)
+        return num if value.denominator == 1 else f"{num}/{_shown(value.denominator)}"
     if isinstance(value, int):
         # 30102999 / 10^8 < log10(2), so 10^drop <= |value|: at least
         # _ECHO_CHARS digits are left, and few more than that
@@ -113,7 +118,7 @@ class RatInterval:
         object.__setattr__(self, "lo", Fraction(self.lo))
         object.__setattr__(self, "hi", Fraction(self.hi))
         if self.lo > self.hi:
-            raise ValueError(f"empty interval: lo={self.lo} > hi={self.hi}")
+            raise ValueError(f"empty interval: lo={_shown(self.lo)} > hi={_shown(self.hi)}")
 
     @property
     def width(self) -> Fraction:
@@ -142,7 +147,8 @@ def interval_reciprocal(iv: RatInterval) -> RatInterval:
     """
     if iv.contains_zero():
         raise NotInvertibleError(
-            f"interval [{iv.lo}, {iv.hi}] contains zero; refine the enclosure first"
+            f"interval [{_shown(iv.lo)}, {_shown(iv.hi)}] contains zero;"
+            " refine the enclosure first"
         )
     return RatInterval(1 / iv.hi, 1 / iv.lo)
 

@@ -8,11 +8,12 @@ through `intervals.int_str`, whatever the interpreter's int-to-str digit
 limit, so a report is the same from the library as from the CLI.
 
 A JSON row is written from one template per row kind, key for key what
-`json.dumps(row.payload, separators=(",", ":"))` writes.  Text made by
-`rat_str` (digits, "-" and "/") and the closed status and family values
-need no escaping and go between the quotes as they are; only free text
-(identity, theorem and variant names, relations, notes) goes through the
-`json` string encoder.
+`json.dumps(row.payload, separators=(",", ":"))` writes.  Rational text
+(digits, "-" and "/", from `rat_str`, or from `Enclosure.as_payload`,
+which writes an endpoint's integers as `rat_str` would write its value)
+and the closed status and family values need no escaping and go between
+the quotes as they are; only free text (identity, theorem and variant
+names, relations, notes) goes through the `json` string encoder.
 
 `write_report` is the one writer.  It takes rows already in report order,
 from any iterable, writes each row to the output as soon as it is made

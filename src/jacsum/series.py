@@ -76,10 +76,15 @@ the integers (lo, hi, p) of each round: it skips rounds with
 lo <= 0 <= hi and hands a caller-supplied judge the exact reciprocal of
 the rest, `intervals.Reciprocal(1 << p, lo, hi)`, which decides floors,
 ceilings and bound tests by integer division and cross-multiplication,
-until the judge settles.  No `Fraction` is built and no gcd is taken in
-the loop; `Fraction`s are made once, for the enclosure and reciprocal it
-returns, with each endpoint reduced by its trailing zero bits.  Both
-`enclose_inverse` and every theorem claim run through it.
+until the judge settles.  Both `enclose_inverse` and every theorem claim
+run through it.
+
+An `Enclosure` keeps the round's integers as its one stored form, and
+`as_payload` writes each endpoint straight from them, shifting its
+trailing zero bits out of m and 2^p.  So from the first round to the
+report no `Fraction` is built and no gcd is taken.  `Fraction`s are made
+in two places only: when a caller first reads `Enclosure.interval`, and
+in `enclose_inverse`, which returns the reciprocal as a `RatInterval`.
 """
 
 from __future__ import annotations
@@ -88,9 +93,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterator, TypeVar
 
-from .intervals import RatInterval, Reciprocal, _shown, rat_str
+from .intervals import RatInterval, Reciprocal, _shown, int_str
 from .sequence import jacobsthal as J
 
 __all__ = [
@@ -192,21 +198,75 @@ def tail_bound(spec: SeriesSpec, last: int) -> RatInterval:
     return RatInterval(min(Fraction(0), t), max(Fraction(0), t))
 
 
-@dataclass(frozen=True)
+def _zeros(m: int, p: int) -> int:
+    """The trailing zero bits of m, at most p: all p of them when m = 0."""
+    return min(p, (m & -m).bit_length() - 1) if m else p
+
+
+def _dyadic(m: int, p: int) -> Fraction:
+    """m / 2^p, reduced by the trailing zero bits of m, not by a gcd."""
+    t = _zeros(m, p)
+    return Fraction(m >> t, 1 << (p - t))
+
+
+def _dyadic_str(m: int, p: int) -> str:
+    """m / 2^p as `rat_str` writes it, with no `Fraction` built and no gcd:
+    the trailing zero bits of m are shifted out of m and 2^p."""
+    t = _zeros(m, p)
+    num = int_str(m >> t)
+    return num if t == p else f"{num}/{int_str(1 << (p - t))}"
+
+
+@dataclass(frozen=True, init=False)
 class Enclosure:
     """Partial sum plus tail bound: an interval containing the limit.
 
-    `terms` is the index of the last summed term (the truncation point K).
+    The interval is [_lo / 2^_p, _hi / 2^_p], kept as these integers with
+    the least _p >= 0 that writes both endpoints, so equal intervals are
+    stored alike; `interval`, the same interval as a `RatInterval`, is
+    built from them on first use.  `terms` is the index of the last summed
+    term (the truncation point K).
+
+    `Enclosure(spec, interval, terms)` takes an interval whose endpoints
+    have power-of-two denominators, as every enclosure of the series does,
+    and refuses any other with ValueError.
     """
 
     spec: SeriesSpec
-    interval: RatInterval
+    _lo: int
+    _hi: int
+    _p: int
     terms: int
+
+    def __init__(self, spec: SeriesSpec, interval: RatInterval, terms: int) -> None:
+        lo, hi = interval.lo, interval.hi
+        if any(q.denominator & (q.denominator - 1) for q in (lo, hi)):
+            raise ValueError(
+                f"enclosure endpoints must have power-of-two denominators,"
+                f" got [{_shown(lo)}, {_shown(hi)}]"
+            )
+        p = max(lo.denominator, hi.denominator).bit_length() - 1
+        grid = [q.numerator << (p + 1 - q.denominator.bit_length()) for q in (lo, hi)]
+        self._store(spec, *grid, p, terms)
+
+    @classmethod
+    def _from_round(cls, spec: SeriesSpec, lo: int, hi: int, p: int, terms: int) -> Enclosure:
+        enc = cls.__new__(cls)
+        enc._store(spec, lo, hi, p, terms)
+        return enc
+
+    def _store(self, spec: SeriesSpec, lo: int, hi: int, p: int, terms: int) -> None:
+        t = min(_zeros(lo, p), _zeros(hi, p))
+        vars(self).update(spec=spec, _lo=lo >> t, _hi=hi >> t, _p=p - t, terms=terms)
+
+    @cached_property
+    def interval(self) -> RatInterval:
+        return RatInterval(_dyadic(self._lo, self._p), _dyadic(self._hi, self._p))
 
     def as_payload(self) -> dict:
         return {
-            "lo": rat_str(self.interval.lo),
-            "hi": rat_str(self.interval.hi),
+            "lo": _dyadic_str(self._lo, self._p),
+            "hi": _dyadic_str(self._hi, self._p),
             "terms": self.terms,
         }
 
@@ -351,16 +411,6 @@ def _rounds(spec: SeriesSpec, max_terms: int | None) -> Iterator[tuple[int, int,
         lo, hi, p = max(new_lo, lo << shift), min(new_hi, hi << shift), new_p
 
 
-def _dyadic(m: int, p: int) -> Fraction:
-    """m / 2^p, reduced by the trailing zero bits of m, not by a gcd."""
-    t = min(p, (m & -m).bit_length() - 1) if m else p
-    return Fraction(m >> t, 1 << (p - t))
-
-
-def _enclosure(spec: SeriesSpec, lo: int, hi: int, p: int, k: int) -> Enclosure:
-    return Enclosure(spec, RatInterval(_dyadic(lo, p), _dyadic(hi, p)), k)
-
-
 def enclosures(spec: SeriesSpec, *, max_terms: int | None = None) -> Iterator[Enclosure]:
     """Yield successively tighter enclosures at K, 2K, ... up to the cap.
 
@@ -370,7 +420,7 @@ def enclosures(spec: SeriesSpec, *, max_terms: int | None = None) -> Iterator[En
     empty; callers then report the result undecided.
     """
     for rnd in _rounds(spec, max_terms):
-        yield _enclosure(spec, *rnd)
+        yield Enclosure._from_round(spec, *rnd)
 
 
 def enclose_sum(
@@ -387,7 +437,7 @@ def enclose_sum(
     """
     width_goal = Fraction(width_goal)
     if width_goal <= 0:
-        raise ValueError(f"width goal must be positive, got {width_goal}")
+        raise ValueError(f"width goal must be positive, got {_shown(width_goal)}")
     best: Enclosure | None = None
     for enc in enclosures(spec, max_terms=max_terms):
         best = enc
@@ -420,32 +470,25 @@ def refine_inverse(
     judge: Callable[[Reciprocal], _T | None],
     *,
     max_terms: int | None = None,
-) -> tuple[_T | None, RatInterval | None, Enclosure | None]:
+) -> tuple[_T | None, Reciprocal | None, Enclosure | None]:
     """Refine until `judge` settles on the reciprocal of the sum enclosure.
 
     Enclosures that straddle zero are skipped; for every other one, the
     judge is asked about its exact reciprocal, a `Reciprocal`, and the
     first result that is not None ends the refinement.  Returns (result,
-    last reciprocal interval, last sum enclosure); result is None when the
-    cap came first.
+    the last `Reciprocal` judged, the last sum enclosure); result is None
+    when the cap came first.
     """
-    result = last = inverted = None
+    result = last = view = None
     for last in _rounds(spec, max_terms):
         lo, hi, p, _ = last
         if lo <= 0 <= hi:
             continue
-        inverted = last
-        result = judge(Reciprocal(1 << p, lo, hi))
+        view = Reciprocal(1 << p, lo, hi)
+        result = judge(view)
         if result is not None:
             break
-    enc = inverse = None
-    if last is not None:
-        enc = _enclosure(spec, *last)
-    if inverted is not None:
-        iv = (enc if inverted is last else _enclosure(spec, *inverted)).interval
-        # Fraction ** -1 swaps numerator and denominator without a gcd
-        inverse = RatInterval(iv.hi ** -1, iv.lo ** -1)
-    return result, inverse, enc
+    return result, view, None if last is None else Enclosure._from_round(spec, *last)
 
 
 def enclose_inverse(
@@ -462,5 +505,8 @@ def enclose_inverse(
     if mode not in ("floor", "ceil"):
         raise ValueError(f"mode must be 'floor' or 'ceil', got {mode!r}")
     decide = Reciprocal.floor if mode == "floor" else Reciprocal.ceil
-    value, inverse, best = refine_inverse(spec, decide, max_terms=max_terms)
+    value, view, best = refine_inverse(spec, decide, max_terms=max_terms)
+    inverse = None if view is None else RatInterval(
+        Fraction(view.d, view.b), Fraction(view.d, view.a)
+    )
     return InverseEnclosure(spec, mode, value, inverse, best)

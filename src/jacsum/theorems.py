@@ -30,8 +30,10 @@ decides the claim from the reciprocal of a sum enclosure, and the note for
 rows left undecided.  A judge gets that reciprocal as an
 `intervals.Reciprocal`, the exact interval [2^p/hi, 2^p/lo] of the
 enclosure's integers, and decides floors, ceilings and bound tests on it
-in integers; `Fraction`s are made only for the enclosure and reciprocal
-interval of the round that settles it.  A claim's rows appear in the
+in integers.  The verdict keeps the enclosure of the round that settles
+it as that round's integers, and the report writes them as they are, so
+no `Fraction` is made for a verdict unless a caller reads its
+`enclosure.interval`.  A claim's rows appear in the
 order its verifier returns them.  All rows run through the one refinement
 loop, `series.refine_inverse`, which refines the sum until the judge
 settles or the `max_terms` budget runs out; the public verifiers are thin

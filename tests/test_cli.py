@@ -478,3 +478,13 @@ def test_deep_verify_leaves_the_digit_limit_alone(capsys, monkeypatch, fmt):
     assert code == 2  # the stated reading is refuted
     assert hashlib.sha256(out.encode()).hexdigest() == DEEP_VERIFY[fmt]
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_parser_is_reused_across_calls(capsys):
+    argv = ("verify", "--theorem", "3.3", "--from", "1", "--to", "6", "--format", "json")
+    first = run(capsys, *argv)
+    code, out, err = run(capsys, "verify", "--theorem", "3.3", "--from", "1")
+    assert (code, out) == (64, "") and "--to" in err
+    assert run(capsys, *argv) == first
+    assert first[0] == 2 and first[1].startswith('[{"theorem":"3.3"')
+    assert cli._build_parser() is cli._build_parser()

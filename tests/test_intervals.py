@@ -255,3 +255,33 @@ def test_range_checks_quote_huge_values_in_short():
             assert len(message) <= len(prefix) + 60, message
     finally:
         sys.set_int_max_str_digits(old)
+
+
+@given(st.fractions(max_denominator=10**30))
+def test_shown_quotes_rationals_as_str_while_short(q):
+    shown = _shown(q)
+    if max(len(str(abs(q.numerator))), len(str(q.denominator))) <= 20:
+        assert shown == str(q)
+    else:
+        num, _, den = shown.partition("/")
+        assert num == _shown(q.numerator) and den in ("", _shown(q.denominator))
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="interpreter has no int-to-str digit limit")
+def test_interval_messages_quote_huge_rationals_in_short():
+    huge, short = F(10**5000), "10000000000000000000... (5001 digits)"
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        with pytest.raises(ValueError) as caught:
+            RatInterval(huge, 0)
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == f"empty interval: lo={short} > hi=0"
+        with pytest.raises(NotInvertibleError) as caught:
+            interval_reciprocal(RatInterval(-huge, 1 / huge))
+        assert str(caught.value) == (
+            f"interval [-{short}, 1/{short}] contains zero; refine the enclosure first"
+        )
+    finally:
+        sys.set_int_max_str_digits(old)

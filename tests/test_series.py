@@ -1,10 +1,12 @@
 import functools
+import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jacsum import (
     NeedMoreTermsError,
@@ -14,10 +16,14 @@ from jacsum import (
     enclose_sum,
     enclosures,
     interval_reciprocal,
+    RatInterval,
+    Reciprocal,
     partial_sum,
+    rat_str,
     refine_inverse,
     series_term,
     tail_bound,
+    verify_range,
 )
 from jacsum import series
 from jacsum.series import GUARD_BITS
@@ -368,3 +374,79 @@ def test_dyadic_endpoints_are_reduced_by_their_trailing_zeros(odd, p, zeros):
     # odd * 2^zeros / 2^p, including integers (zeros >= p), zero and negatives
     m = (2 * odd + 1) << zeros if odd % 3 else 0
     assert series._dyadic(m, p) == Fraction(m, 1 << p)
+
+
+@given(st.integers(-2**80, 2**80), st.integers(0, 70), st.integers(0, 90))
+@example(1, 5, 4).via("one power of two left: 3/2")
+@example(-2, 5, 4).via("negative, one power of two left: -3/2")
+@example(1, 5, 5).via("an integer, exactly: 3")
+@example(-2, 0, 0).via("no fraction bits: -3")
+def test_dyadic_endpoint_text_is_rat_str_of_the_fraction(odd, p, zeros):
+    # odd * 2^zeros / 2^p, including integers (zeros >= p), zero and negatives
+    m = (2 * odd + 1) << zeros if odd % 3 else 0
+    assert series._dyadic_str(m, p) == rat_str(Fraction(m, 1 << p))
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
+def test_enclosure_rebuilt_from_its_interval_is_equal(family):
+    for start in (1, 2, 5, 40):
+        for enc in itertools.islice(enclosures(spec(family, start)), 3):
+            again = series.Enclosure(enc.spec, enc.interval, enc.terms)
+            assert again == enc and hash(again) == hash(enc)
+            assert again.as_payload() == enc.as_payload()
+            assert enc.as_payload()["lo"] == rat_str(enc.interval.lo)
+            assert enc.as_payload()["hi"] == rat_str(enc.interval.hi)
+            # the same interval on a finer grid is the same enclosure
+            lo, hi, p = enc._lo, enc._hi, enc._p
+            finer = series.Enclosure._from_round(enc.spec, lo << 5, hi << 5, p + 5, enc.terms)
+            assert finer == enc and finer.interval == enc.interval
+            assert enc != series.Enclosure(enc.spec, enc.interval, enc.terms + 1)
+            with pytest.raises(AttributeError):
+                enc.terms = 0
+
+
+def test_enclosure_refuses_non_dyadic_intervals():
+    s = spec("recip", 3)
+    assert series.Enclosure(s, RatInterval(F(-3), F(5, 4)), 9).as_payload() == {
+        "lo": "-3", "hi": "5/4", "terms": 9,
+    }
+    for lo, hi in ((F(1, 3), F(1, 2)), (F(1, 2), F(2, 3)), (F(1, 6), F(1, 6))):
+        with pytest.raises(ValueError, match="power-of-two denominators"):
+            series.Enclosure(s, RatInterval(lo, hi), 9)
+
+
+@pytest.mark.parametrize("theorem, family, parity, mode", [
+    ("2.2", "recip-squared", 1, Reciprocal.floor),
+    ("3.1", "alt-recip-squared", 0, Reciprocal.floor),
+    ("3.2", "alt-recip", 1, Reciprocal.floor),
+    ("3.3", "alt-recip-squared", None, Reciprocal.ceil),
+])
+def test_refine_inverse_returns_the_deciding_reciprocal(theorem, family, parity, mode):
+    for n in range(1, 41):
+        if parity is not None and n % 2 != parity:
+            continue
+        stated, = (v for v in verify_range(theorem, n, n, variant="both")
+                   if v.variant == "stated")
+        decided, view, enc = refine_inverse(spec(family, n), mode)
+        assert stated.decided is not None
+        assert decided == mode(view) == stated.decided
+        assert enc == stated.enclosure
+        lo, hi = enc.interval.lo, enc.interval.hi
+        assert (F(view.d, view.b), F(view.d, view.a)) == (1 / hi, 1 / lo)
+    # a budget that admits no enclosure judges nothing
+    assert refine_inverse(spec("recip", 1), mode, max_terms=1) == (None, None, None)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="interpreter has no int-to-str digit limit")
+def test_width_goal_message_quotes_huge_goals_in_short():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        for goal, shown in ((F(-10**5000), "-10000000000000000000... (5001 digits)"),
+                            (F(-1, 10**5000), "-1/10000000000000000000... (5001 digits)")):
+            with pytest.raises(ValueError) as caught:
+                enclose_sum(spec("recip", 3), goal)
+            assert str(caught.value) == f"width goal must be positive, got {shown}"
+    finally:
+        sys.set_int_max_str_digits(old)
