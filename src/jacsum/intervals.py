@@ -120,6 +120,14 @@ class RatInterval:
         if self.lo > self.hi:
             raise ValueError(f"empty interval: lo={_shown(self.lo)} > hi={_shown(self.hi)}")
 
+    @classmethod
+    def _of(cls, lo: Fraction, hi: Fraction) -> RatInterval:
+        """[lo, hi] from two `Fraction`s already known to have lo <= hi,
+        stored as they are: no re-wrapping and no comparison."""
+        iv = cls.__new__(cls)
+        vars(iv).update(lo=lo, hi=hi)
+        return iv
+
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo

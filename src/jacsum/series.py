@@ -81,10 +81,12 @@ run through it.
 
 An `Enclosure` keeps the round's integers as its one stored form, and
 `as_payload` writes each endpoint straight from them, shifting its
-trailing zero bits out of m and 2^p.  So from the first round to the
-report no `Fraction` is built and no gcd is taken.  `Fraction`s are made
-in two places only: when a caller first reads `Enclosure.interval`, and
-in `enclose_inverse`, which returns the reciprocal as a `RatInterval`.
+trailing zero bits out of m and 2^p, and `enclose_sum` tests each
+round's width by cross-multiplying them with the goal.  So from the first
+round to the report no `Fraction` is built and no gcd is taken.
+`Fraction`s are made in two places only: when a caller first reads
+`Enclosure.interval` (the `sum` command does, once, for its width test),
+and in `enclose_inverse`, which returns the reciprocal as a `RatInterval`.
 """
 
 from __future__ import annotations
@@ -261,7 +263,8 @@ class Enclosure:
 
     @cached_property
     def interval(self) -> RatInterval:
-        return RatInterval(_dyadic(self._lo, self._p), _dyadic(self._hi, self._p))
+        # both endpoints come out reduced, and _lo <= _hi
+        return RatInterval._of(_dyadic(self._lo, self._p), _dyadic(self._hi, self._p))
 
     def as_payload(self) -> dict:
         return {
@@ -438,10 +441,12 @@ def enclose_sum(
     width_goal = Fraction(width_goal)
     if width_goal <= 0:
         raise ValueError(f"width goal must be positive, got {_shown(width_goal)}")
+    num, den = width_goal.numerator, width_goal.denominator
     best: Enclosure | None = None
     for enc in enclosures(spec, max_terms=max_terms):
         best = enc
-        if enc.interval.width <= width_goal:
+        # width (_hi - _lo) / 2^_p <= num / den, cross-multiplied
+        if (enc._hi - enc._lo) * den <= num << enc._p:
             break
     return best
 

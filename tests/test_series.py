@@ -205,6 +205,17 @@ def test_enclose_sum_budget_exhaustion():
     assert enc.interval.width > F(1, 10**40)
 
 
+@pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
+def test_enclose_sum_stops_at_the_first_round_within_the_goal(family):
+    s = spec(family, 3)
+    rounds = list(itertools.islice(enclosures(s), 7))
+    for enc in rounds[:-1]:
+        # a goal met exactly stops at this round, one just below it does not
+        for goal in (enc.interval.width, enc.interval.width * F(999, 1000)):
+            first = next(e for e in rounds if e.interval.width <= goal)
+            assert enclose_sum(s, goal) == first
+
+
 def test_enclose_inverse_examples():
     assert enclose_inverse(spec("alt-recip", 2), "floor").decided == 1
     assert enclose_inverse(spec("recip-squared", 1), "floor").decided == 0
@@ -403,6 +414,15 @@ def test_enclosure_rebuilt_from_its_interval_is_equal(family):
             assert enc != series.Enclosure(enc.spec, enc.interval, enc.terms + 1)
             with pytest.raises(AttributeError):
                 enc.terms = 0
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.value)
+def test_enclosure_interval_is_the_checked_interval_of_its_integers(family):
+    for enc in itertools.islice(enclosures(spec(family, 2)), 4):
+        iv = enc.interval
+        assert iv == RatInterval(F(enc._lo, 1 << enc._p), F(enc._hi, 1 << enc._p))
+        assert type(iv.lo) is F and type(iv.hi) is F and iv.lo <= iv.hi
+        assert enc.interval is iv  # built once
 
 
 def test_enclosure_refuses_non_dyadic_intervals():
