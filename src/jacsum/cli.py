@@ -46,11 +46,13 @@ from collections.abc import Callable, Iterable, Iterator
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
-from .identities import iter_identities
+# iter_identities is not called here; it stays importable from this module,
+# where tests replace it along with the other row sources
+from .identities import _catalog, iter_identities  # noqa: F401
 from .intervals import _INTEGER, _shown
 from .report import (
     ReportRow,
-    identity_row,
+    _identity_row,
     sequence_row,
     sum_row,
     verdict_row,
@@ -76,8 +78,10 @@ MAX_WIDTH_EXPONENT = 100_000
 # 60 GB at 10^6.
 MAX_SEQ_INDEX = 30_000
 # Largest `identities --to` and `--cassini-max`.  The sweep holds one window
-# of J up to about twice the larger one while it runs, about 2 * to^2 bits:
-# some 27 MB at this bound.  Nothing is kept once it ends.
+# of J up to about twice the larger one while it runs, about 2 * to^2 bits,
+# and the Cassini block a table of J(k)^2 for k <= M, about M^2 bits: at this
+# bound the two peak at 41.7 MB (27.4 MB window, 14.3 MB table; tracemalloc,
+# CPython 3.11.7).  Nothing is kept once the sweep ends.
 MAX_IDENTITY_INDEX = 10_000
 # Largest `sum --start` and `verify --from`/`--to`.  A series from index n is
 # summed on the grid 2^-p with p about e*n bits (e the power of J(k) in its
@@ -247,7 +251,10 @@ def _report_rows(args: argparse.Namespace) -> tuple[Iterable[ReportRow], str]:
             )
         return _poly_rows(args.x, args.lo, args.hi), "sequence"
     if args.command == "identities":
-        return map(identity_row, iter_identities(args.to, args.cassini_max)), "identity"
+        # made by the one identity row builder as the sweep evaluates them,
+        # from a window of J built through this module's `jacobsthal_range`,
+        # like `seq`'s values: so whatever stops that name stops both
+        return _catalog(args.to, args.cassini_max, _identity_row, jacobsthal_range), "identity"
     if args.command == "sum":
         spec = SeriesSpec(SeriesFamily(args.family), args.start)
         enc = enclose_sum(spec, args.width, max_terms=args.max_terms)

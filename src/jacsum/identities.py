@@ -8,23 +8,29 @@ Integer-valued sides are kept as `int`; only sides that can be fractional
 
 The catalog is one table, `_CATALOG`: per identity its id, its relation,
 the first n at which its sides can be computed, the first n of its stated
-range, and a function that evaluates both sides at n from a given J.  One
-evaluator turns an entry into an `IdentityResult`: it raises `ValueError`
-below the first computable n, and below the stated range it sets
-`applicable=False` and notes where that range starts.  `check_*` pass
-`jacobsthal` as J.  A sweep makes one window J(0..2*max(max_n+1,
-cassini_max)) by one recurrence pass, and every entry, the Cassini block
-included, reads its J from that window; nothing outlives the sweep.
+range, and a generator that evaluates both sides over a range of n,
+reading J by subscript from a given indexer.  One evaluator, `_evaluate`,
+runs an entry over its range and hands each row's fields to a row maker:
+`IdentityResult` for the library, the report module's row builder for the
+CLI, which so makes no `IdentityResult` per row.  Below the stated range
+it sets `applicable=False` and notes where that range starts.  `check_*`
+run the evaluator over a one-element range, reading J from the closed
+form, and raise `ValueError` below the first computable n.  A sweep makes
+one window J(0..2*max(max_n+1, cassini_max)) by one recurrence pass, and
+every entry, the Cassini block included, reads its J from that window;
+nothing outlives the sweep.
 
 Rational comparisons are made on integers.  step2.1's second form,
 1/J(n) - 2/J(n+2) - 1/J(n+3) > 0, is checked as its numerator over the
 positive common denominator J(n)J(n+2)J(n+3):
     J(n+2)J(n+3) - 2 J(n)J(n+3) - J(n)J(n+2) > 0.
 step2.2's two sides are compared as numerators over their positive common
-denominator D = J(n-1) J(n)^2 J(n+1)^2 J(n+2); the reported value is one
-reduced `Fraction`, and a separate left side is built only if they differ.
-The Cassini right side (-1)^(n-k+1) 2^(n-k) J(k)^2 is J(k)^2 << (n-k),
-negated when n-k is even.
+denominator D = abbccd, with a, b, c, d = J(n-1), J(n), J(n+1), J(n+2);
+the left numerator is written ccd(b - a) - 2abb(d + 2c), sharing abb and
+ccd with D.  The reported value is one reduced `Fraction`, and a separate
+left side is built only if they differ.  The Cassini right side
+(-1)^(n-k+1) 2^(n-k) J(k)^2 is J(k)^2 << (n-k), negated when n-k is even,
+and every square it and the left side read is made once per sweep.
 
 The catalog ids are stable strings used in reports and sweeps:
 
@@ -49,6 +55,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple
 
 from .intervals import _shown
@@ -99,99 +106,118 @@ class IdentityResult:
 
 
 class _Entry(NamedTuple):
-    """One row of the catalog; `sides(J, n)` (lemma1.3: `sides(J, n, k)`)
-    returns (holds, lhs, rhs, note) with every J read through `J`."""
+    """One row of the catalog.  `sides(J, ns)` (lemma1.3: `sides(J, ns,
+    only_k)`) yields (n, k, holds, lhs, rhs, note) for each n in ns, k None
+    but in lemma1.3, reading every J by subscript from `J`."""
 
     id: str
     relation: str
     min_n: int  # first n whose sides can be computed
     stated_n: int  # first n of the stated range
-    sides: Callable[..., tuple[bool, Fraction | int, Fraction | int, str]]
+    sides: Callable[..., Iterator[tuple]]
 
 
-def _lemma_1_1(J, n):
-    lhs, rhs = J(n) + J(n + 1), 2**n
-    return lhs == rhs, lhs, rhs, ""
+def _lemma_1_1(J, ns):
+    for n in ns:
+        lhs, rhs = J[n] + J[n + 1], 1 << n
+        yield n, None, lhs == rhs, lhs, rhs, ""
 
 
-def _lemma_1_2ab(J, n, shift):
+def _lemma_1_2ab(J, ns, shift):
     # J(n) < 2^(n-shift): lemma1.2a at shift 0, lemma1.2b at shift 1
-    jn, ub = J(n), 2 ** (n - shift)
-    return jn < ub, jn, ub, ""
+    for n in ns:
+        jn, ub = J[n], 1 << (n - shift)
+        yield n, None, jn < ub, jn, ub, ""
 
 
-def _lemma_1_2c(J, n):
+def _lemma_1_2c(J, ns):
     # 2^(n-2) is an exact rational even for n < 2
-    jn, ub = J(n), 2 ** (n - 1)
-    lb = 2 ** (n - 2) if n >= 2 else Fraction(1, 2)
-    return lb < jn < ub, lb, ub, ""
+    for n in ns:
+        jn, ub = J[n], 1 << (n - 1)
+        lb = 1 << (n - 2) if n >= 2 else Fraction(1, 2)
+        yield n, None, lb < jn < ub, lb, ub, ""
 
 
-def _lemma_1_3(J, n, k):
-    # (-1)^(n-k+1) 2^(n-k) J(k)^2 is J(k)^2 << (n-k), negated when n-k is even
-    lhs = J(n + k) * J(n - k) - J(n) ** 2
-    rhs = J(k) ** 2 << (n - k)
-    if not (n - k) & 1:
-        rhs = -rhs
-    return lhs == rhs, lhs, rhs, ""
+def _lemma_1_3(J, ns, only_k=None):
+    # every offset 1..n at each n, or only_k.  (-1)^(n-k+1) 2^(n-k) J(k)^2 is
+    # J(k)^2 << (n-k), negated when n-k is even.  Each square is made once,
+    # in a table of J(i)^2 over every i the rows square
+    squared = range(ns[-1] + 1) if only_k is None else (ns[0], only_k)
+    squares = {i: J[i] ** 2 for i in squared}
+    for n in ns:
+        jn_sq = squares[n]
+        for k in range(1, n + 1) if only_k is None else (only_k,):
+            lhs = J[n + k] * J[n - k] - jn_sq
+            rhs = squares[k] << (n - k)
+            if not (n - k) & 1:
+                rhs = -rhs
+            yield n, k, lhs == rhs, lhs, rhs, ""
 
 
-def _lemma_1_4(J, n):
-    lhs = J(n + 1) ** 2 - J(n) ** 2
-    rhs = 2 ** (n + 1) * J(n - 1)
-    return lhs == rhs, lhs, rhs, ""
+def _lemma_1_4(J, ns):
+    for n in ns:
+        lhs = J[n + 1] ** 2 - J[n] ** 2
+        rhs = J[n - 1] << (n + 1)
+        yield n, None, lhs == rhs, lhs, rhs, ""
 
 
-def _lemma_1_5(J, n):
-    lhs = J(n + 1) ** 2 + 2 * J(n) ** 2
-    rhs = J(2 * n + 1)
-    return lhs == rhs, lhs, rhs, ""
+def _lemma_1_5(J, ns):
+    for n in ns:
+        lhs = J[n + 1] ** 2 + 2 * J[n] ** 2
+        rhs = J[2 * n + 1]
+        yield n, None, lhs == rhs, lhs, rhs, ""
 
 
-def _step_2_1(J, n):
-    j0, j1, j2, j3 = J(n), J(n + 1), J(n + 2), J(n + 3)
-    diff = j1 * j3 - j0 * j2
-    gap = j2 * j3 - 2 * j0 * j3 - j0 * j2
-    if (diff > 0) != (gap > 0):
-        raise RuntimeError(f"step2.1 forms disagree at n={n}: {diff} vs {gap}")
-    return diff > 0 and gap > 0, diff, 0, ""
+def _step_2_1(J, ns):
+    for n in ns:
+        j0, j1, j2, j3 = J[n], J[n + 1], J[n + 2], J[n + 3]
+        diff = j1 * j3 - j0 * j2
+        gap = j2 * j3 - 2 * j0 * j3 - j0 * j2
+        if (diff > 0) != (gap > 0):
+            raise RuntimeError(f"step2.1 forms disagree at n={n}: {diff} vs {gap}")
+        yield n, None, diff > 0 and gap > 0, diff, 0, ""
 
 
-def _step_2_2(J, n):
-    a, b, c, d = J(n - 1), J(n), J(n + 1), J(n + 2)
-    b_sq, c_sq = b * b, c * c
-    denom = a * b_sq * c_sq * d
-    lhs_num = b * c_sq * d - a * c_sq * d - 2 * a * b_sq * d - 4 * a * b_sq * c
-    rhs_num = J(2 * n + 1) << (n - 1)
-    if not n & 1:
-        rhs_num = -rhs_num
-    rhs = Fraction(rhs_num, denom)
-    lhs = rhs if lhs_num == rhs_num else Fraction(lhs_num, denom)
-    sign = "positive" if lhs_num > 0 else ("negative" if lhs_num < 0 else "zero")
-    return lhs_num == rhs_num, lhs, rhs, f"common value {sign}"
+def _step_2_2(J, ns):
+    # b c^2 d - a c^2 d - 2 a b^2 d - 4 a b^2 c, factored to share a b^2 and
+    # c^2 d with the denominator a b^2 c^2 d
+    for n in ns:
+        a, b, c, d = J[n - 1], J[n], J[n + 1], J[n + 2]
+        ab_sq, c_sq_d = a * b * b, c * c * d
+        denom = ab_sq * c_sq_d
+        lhs_num = c_sq_d * (b - a) - (ab_sq * (d + 2 * c) << 1)
+        rhs_num = J[2 * n + 1] << (n - 1)
+        if not n & 1:
+            rhs_num = -rhs_num
+        rhs = Fraction(rhs_num, denom)
+        lhs = rhs if lhs_num == rhs_num else Fraction(lhs_num, denom)
+        sign = "positive" if lhs_num > 0 else ("negative" if lhs_num < 0 else "zero")
+        yield n, None, lhs_num == rhs_num, lhs, rhs, f"common value {sign}"
 
 
-def _step_3_1(J, n):
-    sign = (-1) ** n
-    lhs = -sign * J(n - 1) * J(n + 1) + J(n + 1) - J(n - 1) + sign * J(n) ** 2 + sign
-    return lhs == sign, lhs, sign, ""
+def _step_3_1(J, ns):
+    for n in ns:
+        sign = -1 if n & 1 else 1
+        lhs = -sign * J[n - 1] * J[n + 1] + J[n + 1] - J[n - 1] + sign * J[n] ** 2 + sign
+        yield n, None, lhs == sign, lhs, sign, ""
 
 
-def _step_3_3(J, n):
-    sign = (-1) ** n
-    a_sq, b_sq, c_sq = J(n - 1) ** 2, J(n) ** 2, J(n + 1) ** 2
-    direct = -sign * a_sq * c_sq + c_sq - a_sq + sign * b_sq**2 + sign
-    substituted = (
-        2 ** (n + 1) * J(n - 1) + b_sq - sign * 2 ** (2 * n - 2) - a_sq - 2**n * b_sq + sign
-    )
-    if direct != substituted:
-        raise RuntimeError(
-            f"step3.3 numerator forms disagree at n={n}: {direct} vs {substituted}"
+def _step_3_3(J, ns):
+    for n in ns:
+        sign = -1 if n & 1 else 1
+        a_sq, b_sq, c_sq = J[n - 1] ** 2, J[n] ** 2, J[n + 1] ** 2
+        direct = -sign * a_sq * c_sq + c_sq - a_sq + sign * b_sq**2 + sign
+        substituted = (
+            (J[n - 1] << (n + 1)) + b_sq - sign * (1 << (2 * n - 2)) - a_sq - (b_sq << n) + sign
         )
-    note = f"value {'<' if direct < 0 else '>=' } 0"
-    if n < 5:
-        note += "; negativity is claimed only from n=5"
-    return (direct < 0 if n >= 5 else True), direct, 0, note
+        if direct != substituted:
+            raise RuntimeError(
+                f"step3.3 numerator forms disagree at n={n}: {direct} vs {substituted}"
+            )
+        note = f"value {'<' if direct < 0 else '>=' } 0"
+        if n < 5:
+            note += "; negativity is claimed only from n=5"
+        yield n, None, (direct < 0 if n >= 5 else True), direct, 0, note
 
 
 # the catalog in report order: by id, then (in a sweep) by n, then k
@@ -199,8 +225,8 @@ _CATALOG = {
     entry.id: entry
     for entry in (
         _Entry("lemma1.1", "==", 0, 1, _lemma_1_1),
-        _Entry("lemma1.2a", "<", 1, 1, lambda J, n: _lemma_1_2ab(J, n, 0)),
-        _Entry("lemma1.2b", "<", 1, 2, lambda J, n: _lemma_1_2ab(J, n, 1)),
+        _Entry("lemma1.2a", "<", 1, 1, lambda J, ns: _lemma_1_2ab(J, ns, 0)),
+        _Entry("lemma1.2b", "<", 1, 2, lambda J, ns: _lemma_1_2ab(J, ns, 1)),
         _Entry("lemma1.2c", "< J(n) <", 1, 3, _lemma_1_2c),
         _Entry("lemma1.3", "==", 1, 1, _lemma_1_3),
         _Entry("lemma1.4", "==", 1, 1, _lemma_1_4),
@@ -213,21 +239,39 @@ _CATALOG = {
 }
 
 
-def _evaluate(
-    entry: _Entry, J: Callable[[int], int], n: int, k: int | None = None
-) -> IdentityResult:
+def _evaluate(entry: _Entry, J, ns: range, make: Callable, only_k: int | None = None):
+    """`make(id, n, holds, lhs, rhs, relation, k, applicable, note)` for each
+    row of one entry over the indices `ns`, all computable (lemma1.3: every
+    offset 1..n, or only_k), lazily.  Below the stated range a row is not
+    applicable, and its note says where that range starts."""
+    ident, relation, stated = entry.id, entry.relation, entry.stated_n
+    rows = entry.sides(J, ns) if only_k is None else entry.sides(J, ns, only_k)
+    for n, k, holds, lhs, rhs, note in rows:
+        if n < stated:
+            note += ("; " if note else "") + f"stated range starts at n={stated}"
+        yield make(ident, n, holds, lhs, rhs, relation, k, n >= stated, note)
+
+
+class _ClosedForm:
+    """J by subscript, each value from the closed form: the single checks'
+    J, which holds no window."""
+
+    def __getitem__(self, n: int) -> int:
+        return J(n)
+
+
+def _check(ident: str, n: int, k: int | None = None) -> IdentityResult:
+    """One check at n (and k): `_evaluate` over a one-element range, reading J
+    from the closed form; below the first computable n it raises `ValueError`."""
+    entry = _CATALOG[ident]
     if n < entry.min_n:
-        raise ValueError(f"{entry.id} needs n >= {entry.min_n}, got {_shown(n)}")
-    holds, lhs, rhs, note = entry.sides(J, n) if k is None else entry.sides(J, n, k)
-    applicable = n >= entry.stated_n
-    if not applicable:
-        note += ("; " if note else "") + f"stated range starts at n={entry.stated_n}"
-    return IdentityResult(entry.id, n, holds, lhs, rhs, entry.relation, k, applicable, note)
+        raise ValueError(f"{ident} needs n >= {entry.min_n}, got {_shown(n)}")
+    return next(_evaluate(entry, _ClosedForm(), range(n, n + 1), IdentityResult, k))
 
 
 def check_lemma_1_1(n: int) -> IdentityResult:
     """J(n) + J(n+1) = 2^n; stated for n >= 1, computable at n = 0."""
-    return _evaluate(_CATALOG["lemma1.1"], J, n)
+    return _check("lemma1.1", n)
 
 
 def check_lemma_1_2(n: int) -> tuple[IdentityResult, IdentityResult, IdentityResult]:
@@ -236,7 +280,7 @@ def check_lemma_1_2(n: int) -> tuple[IdentityResult, IdentityResult, IdentityRes
     Sub-checks below their stated range are computed anyway and flagged
     not-applicable (2^(n-2) is an exact rational even for n < 2).
     """
-    return tuple(_evaluate(_CATALOG[i], J, n) for i in ("lemma1.2a", "lemma1.2b", "lemma1.2c"))
+    return tuple(_check(i, n) for i in ("lemma1.2a", "lemma1.2b", "lemma1.2c"))
 
 
 def check_cassini(n: int, k: int) -> IdentityResult:
@@ -246,24 +290,24 @@ def check_cassini(n: int, k: int) -> IdentityResult:
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={_shown(k)}, n={_shown(n)}")
-    return _evaluate(_CATALOG["lemma1.3"], J, n, k)
+    return _check("lemma1.3", n, k)
 
 
 def check_lemma_1_4(n: int) -> IdentityResult:
     """J(n+1)^2 - J(n)^2 = 2^(n+1) J(n-1) for n >= 1."""
-    return _evaluate(_CATALOG["lemma1.4"], J, n)
+    return _check("lemma1.4", n)
 
 
 def check_lemma_1_5(n: int) -> IdentityResult:
     """J(n+1)^2 + 2 J(n)^2 = J(2n+1) for n >= 1."""
-    return _evaluate(_CATALOG["lemma1.5"], J, n)
+    return _check("lemma1.5", n)
 
 
 def check_step_2_1(n: int) -> IdentityResult:
     """J(n+1)J(n+3) - J(n)J(n+2) > 0, equivalently
     1/J(n) > 2/J(n+2) + 1/J(n+3); both forms are checked exactly, the
     second as its numerator over the positive denominator J(n)J(n+2)J(n+3)."""
-    return _evaluate(_CATALOG["step2.1"], J, n)
+    return _check("step2.1", n)
 
 
 def check_step_2_2(n: int) -> IdentityResult:
@@ -274,7 +318,7 @@ def check_step_2_2(n: int) -> IdentityResult:
     Both sides are compared as numerators over that positive denominator.
     Needs J(n-1) > 0, so n >= 2 is computable; the stated range is n >= 3.
     """
-    return _evaluate(_CATALOG["step2.2"], J, n)
+    return _check("step2.2", n)
 
 
 def check_step_3_1(n: int) -> IdentityResult:
@@ -285,7 +329,7 @@ def check_step_3_1(n: int) -> IdentityResult:
         (-1)^(n+1) J(n-1)J(n+1) + J(n+1) - J(n-1) + (-1)^n J(n)^2 + (-1)^n,
     which must collapse to (-1)^n for every n >= 1.
     """
-    return _evaluate(_CATALOG["step3.1"], J, n)
+    return _check("step3.1", n)
 
 
 def check_step_3_3(n: int) -> IdentityResult:
@@ -300,7 +344,7 @@ def check_step_3_3(n: int) -> IdentityResult:
     a mismatch between the two is a hard error.  The claim under test is
     that the value is negative for n >= 5; smaller n record the sign only.
     """
-    return _evaluate(_CATALOG["step3.3"], J, n)
+    return _check("step3.3", n)
 
 
 def identity_sweep(max_n: int, cassini_max: int) -> list[IdentityResult]:
@@ -320,24 +364,27 @@ def iter_identities(max_n: int, cassini_max: int) -> Iterator[IdentityResult]:
     themselves run lazily, so a caller can write each result as it comes
     without holding the sweep.
     """
+    return _catalog(max_n, cassini_max, IdentityResult, jacobsthal_range)
+
+
+def _catalog(max_n: int, cassini_max: int, make: Callable, window: Callable) -> Iterator:
+    """`make(id, n, holds, lhs, rhs, relation, k, applicable, note)` for each
+    row of the sweep, lazily, in report order; the caps are checked first.
+    `IdentityResult` makes the library's results, and the report module's
+    row builder the CLI's rows, with nothing made in between.  The window
+    of J is `window(lo, hi)`, `jacobsthal_range` or the same function under
+    its caller's name."""
     if max_n < 1:
         raise ValueError(f"need max_n >= 1, got {_shown(max_n)}")
     if cassini_max < 1:
         raise ValueError(f"need cassini_max >= 1, got {_shown(cassini_max)}")
-    return _catalog(max_n, cassini_max)
-
-
-def _catalog(max_n: int, cassini_max: int) -> Iterator[IdentityResult]:
     # every entry reads one window J(0..2*max(max_n+1, cassini_max)): lemma1.5
-    # needs J(2*max_n+1), the Cassini block J(2*cassini_max)
-    J = jacobsthal_range(0, 2 * max(max_n + 1, cassini_max)).__getitem__
-    for entry in _CATALOG.values():
-        if entry.id == "lemma1.3":
-            for n in range(1, cassini_max + 1):
-                for k in range(1, n + 1):
-                    yield _evaluate(entry, J, n, k)
-        else:
-            # from n = 1 where computable, below the stated range included;
-            # step2.2 is not, and starts at its stated n
-            for n in range(1 if entry.min_n <= 1 else entry.stated_n, max_n + 1):
-                yield _evaluate(entry, J, n)
+    # needs J(2*max_n+1), the Cassini block J(2*cassini_max).  From n = 1
+    # where computable, below the stated range included; step2.2 is not, and
+    # starts at its stated n
+    J = window(0, 2 * max(max_n + 1, cassini_max))
+    return chain.from_iterable(
+        _evaluate(e, J, range(1 if e.min_n <= 1 else e.stated_n,
+                              (cassini_max if e.id == "lemma1.3" else max_n) + 1), make)
+        for e in _CATALOG.values()
+    )

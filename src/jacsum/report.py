@@ -16,10 +16,14 @@ the quotes as they are; only free text (identity, theorem and variant
 names, relations, notes) goes through the `json` string encoder.
 
 `write_report` is the one writer.  It takes rows already in report order,
-from any iterable, writes each row to the output as soon as it is made
-and works out the exit code in the same pass, so a report never has to
-be held in memory whole.  `emit_report` sorts a list of rows and returns
-the report as a string.
+from any iterable, and writes each row to the output as soon as it is
+made, so a report never has to be held in memory whole.  The writer of
+each format gathers the rows' statuses in the loop that writes them, one
+string per row for JSON, and `write_report` works out the exit code from
+them.  `emit_report` sorts a list of rows and returns the report as a
+string.  `_identity_row` is the one identity row builder: `identity_row`
+calls it on an `IdentityResult`, and the CLI has the identity sweep call
+it on each row's fields as the sweep evaluates them.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import csv
 import io
 import json
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -98,19 +102,27 @@ def sequence_row(n: int, x: int, value: int) -> ReportRow:
 
 
 def identity_row(res: IdentityResult) -> ReportRow:
-    verdict = "not-applicable" if not res.applicable else ("holds" if res.holds else "fails")
-    lhs = rat_str(res.lhs)
+    return _identity_row(
+        res.identity, res.n, res.holds, res.lhs, res.rhs, res.relation, res.k,
+        res.applicable, res.note,
+    )
+
+
+def _identity_row(identity, n, holds, lhs, rhs, relation, k, applicable, note) -> ReportRow:
+    """The row of one identity check, from the fields of its `IdentityResult`
+    in their order: `identities._catalog` makes the CLI's rows with it."""
+    lhs_text = rat_str(lhs)
     return ReportRow(
         "identity",
         {
-            "identity": res.identity,
-            "n": res.n,
-            "k": res.k,
-            "verdict": verdict,
-            "relation": res.relation,
-            "lhs": lhs,
-            "rhs": lhs if res.rhs == res.lhs else rat_str(res.rhs),
-            "note": res.note,
+            "identity": identity,
+            "n": n,
+            "k": k,
+            "verdict": ("holds" if holds else "fails") if applicable else "not-applicable",
+            "relation": relation,
+            "lhs": lhs_text,
+            "rhs": lhs_text if rhs is lhs or rhs == lhs else rat_str(rhs),
+            "note": note,
         },
     )
 
@@ -216,7 +228,8 @@ def _plain_line(row: ReportRow) -> str:
     )
 
 
-_json_str = json.JSONEncoder().encode  # a str as a JSON string literal
+# a str as a JSON string literal: the C function JSONEncoder().encode calls
+_json_str = json.encoder.encode_basestring_ascii
 
 
 def _int_or_null(value: int | None) -> str:
@@ -269,29 +282,45 @@ _JSON_ROW = {
 }
 
 
-def _write_json(rows: Iterator[ReportRow], kind: str, out: TextIO) -> None:
-    out.write("[")
-    for i, row in enumerate(rows):
-        if i:
-            out.write(",")
-        out.write(_JSON_ROW[row.kind](row.payload))
-    out.write("]\n")
+# Each writer returns the set of row statuses it wrote, which it gathers in
+# the loop that writes the rows: `write_report` works out the exit code from
+# it.
 
 
-def _write_csv(rows: Iterator[ReportRow], kind: str, out: TextIO) -> None:
-    writer = csv.writer(out, lineterminator="\n")
+def _status_key(kind: str) -> str:
+    """The payload key that holds the status of a row of this kind."""
+    return "verdict" if kind == "identity" else "status"
+
+
+def _write_json(rows: Iterable[ReportRow], kind: str, out: TextIO) -> set:
+    write, template, seen, sep = out.write, _JSON_ROW[kind], set(), "["
+    status = _status_key(kind)
+    for row in rows:
+        p = row.payload
+        seen.add(p.get(status))
+        write(sep + template(p))
+        sep = ","
+    write("[]\n" if sep == "[" else "]\n")
+    return seen
+
+
+def _write_csv(rows: Iterable[ReportRow], kind: str, out: TextIO) -> set:
+    writer, seen, status = csv.writer(out, lineterminator="\n"), set(), _status_key(kind)
     writer.writerow(CSV_HEADERS[kind])
     for row in rows:
+        seen.add(row.payload.get(status))
         writer.writerow(_flatten_for_csv(row))
+    return seen
 
 
-def _write_plain(rows: Iterator[ReportRow], kind: str, out: TextIO) -> None:
-    empty = True
+def _write_plain(rows: Iterable[ReportRow], kind: str, out: TextIO) -> set:
+    seen, status = set(), _status_key(kind)
     for row in rows:
+        seen.add(row.payload.get(status))
         out.write(_plain_line(row) + "\n")
-        empty = False
-    if empty:
+    if not seen:
         out.write("(no rows)\n")
+    return seen
 
 
 _WRITERS = {"json": _write_json, "csv": _write_csv, "plain": _write_plain}
@@ -302,29 +331,20 @@ def write_report(rows: Iterable[ReportRow], fmt: str, kind: str, out: TextIO) ->
 
     Each row is written as soon as `rows` yields it and nothing keeps it
     afterwards, so a generator of rows is written in constant memory.
-    `kind` fixes the CSV header even when `rows` is empty; all rows of one
-    report share a kind.  Returns the report's exit code: EXIT_REFUTED if
-    a verdict is refuted or an identity fails, else EXIT_UNDECIDED if a
+    `kind` fixes the CSV header even when `rows` is empty, the JSON
+    template of every row and the payload key of its status: all rows of
+    one report share a kind.  Returns the report's exit code: EXIT_REFUTED
+    if a verdict is refuted or an identity fails, else EXIT_UNDECIDED if a
     verdict or sum is undecided, else EXIT_OK.
     """
     try:
         write = _WRITERS[fmt]
     except KeyError:
         raise ValueError(f"unknown format {fmt!r}") from None
-    refuted = undecided = False
-
-    def tallied() -> Iterator[ReportRow]:
-        nonlocal refuted, undecided
-        for row in rows:
-            status = row.payload.get("status", row.payload.get("verdict"))
-            refuted |= status in ("refuted", "fails")
-            undecided |= status == "undecided"
-            yield row
-
-    write(tallied(), kind, out)
-    if refuted:
+    seen = write(rows, kind, out)
+    if not seen.isdisjoint(("refuted", "fails")):
         return EXIT_REFUTED
-    return EXIT_UNDECIDED if undecided else EXIT_OK
+    return EXIT_UNDECIDED if "undecided" in seen else EXIT_OK
 
 
 def emit_report(rows: list[ReportRow], fmt: str, kind: str) -> str:

@@ -13,7 +13,7 @@ import pytest
 from jacsum import (
     SeriesFamily, SeriesSpec, Status, Verdict, enclose_sum, jacobsthal_closed_form,
 )
-from jacsum import cli
+from jacsum import cli, identities, identity_sweep
 from jacsum.cli import main
 from jacsum.report import emit_report, identity_row, sum_row, verdict_row
 from jacsum.series import Enclosure
@@ -488,3 +488,42 @@ def test_parser_is_reused_across_calls(capsys):
     assert run(capsys, *argv) == first
     assert first[0] == 2 and first[1].startswith('[{"theorem":"3.3"')
     assert cli._build_parser() is cli._build_parser()
+
+
+FORMATS = ("json", "csv", "plain")
+
+
+def _library_identities_report(max_n, cassini_max, fmt):
+    rows = [identity_row(r) for r in identity_sweep(max_n, cassini_max)]
+    return emit_report(rows, fmt, "identity")
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_cli_identities_report_equals_the_library_report(capsys, fmt):
+    # the CLI builds its rows inside the sweep, the library from IdentityResults;
+    # at n = 400 step2.2's values run past 640 digits
+    code, out, _ = run(capsys, "identities", "--to", "400", "--cassini-max", "48",
+                       "--format", fmt)
+    assert code == 0
+    assert out == _library_identities_report(400, 48, fmt)
+    step_2_2 = [r for r in identity_sweep(400, 48) if r.identity == "step2.2"]
+    assert step_2_2[-1].rhs.denominator > 10**640
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_failing_identity_fails_the_cli_run(capsys, monkeypatch, fmt):
+    entry = identities._CATALOG["lemma1.3"]
+
+    def off_by_one_at_5_2(J, ns, only_k=None):
+        for n, k, holds, lhs, rhs, note in entry.sides(J, ns, only_k):
+            if (n, k) == (5, 2):
+                lhs, holds = lhs + 1, False
+            yield n, k, holds, lhs, rhs, note
+
+    monkeypatch.setitem(identities._CATALOG, "lemma1.3", entry._replace(sides=off_by_one_at_5_2))
+    code, out, _ = run(capsys, "identities", "--to", "9", "--cassini-max", "6", "--format", fmt)
+    assert code == 2
+    assert out == _library_identities_report(9, 6, fmt)
+    assert out.count("fails") == 1
+    failed = [r for r in identity_sweep(9, 6) if r.failed]
+    assert [(r.identity, r.n, r.k, r.lhs - r.rhs) for r in failed] == [("lemma1.3", 5, 2, 1)]
