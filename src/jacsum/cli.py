@@ -46,9 +46,7 @@ from collections.abc import Callable, Iterable, Iterator
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
-# iter_identities is not called here; it stays importable from this module,
-# where tests replace it along with the other row sources
-from .identities import _catalog, iter_identities  # noqa: F401
+from .identities import _catalog
 from .intervals import _INTEGER, _shown
 from .report import (
     ReportRow,
@@ -59,7 +57,7 @@ from .report import (
     write_report,
 )
 from .sequence import jacobsthal_range
-from .series import SeriesFamily, SeriesSpec, enclose_sum
+from .series import SeriesFamily, SeriesSpec, _within, enclose_sum
 from .theorems import THEOREM_IDS, verify_range
 
 __all__ = ["main"]
@@ -251,14 +249,12 @@ def _report_rows(args: argparse.Namespace) -> tuple[Iterable[ReportRow], str]:
             )
         return _poly_rows(args.x, args.lo, args.hi), "sequence"
     if args.command == "identities":
-        # made by the one identity row builder as the sweep evaluates them,
-        # from a window of J built through this module's `jacobsthal_range`,
-        # like `seq`'s values: so whatever stops that name stops both
-        return _catalog(args.to, args.cassini_max, _identity_row, jacobsthal_range), "identity"
+        # made by the one identity row builder as the sweep evaluates them
+        return _catalog(args.to, args.cassini_max, _identity_row), "identity"
     if args.command == "sum":
-        spec = SeriesSpec(SeriesFamily(args.family), args.start)
+        spec = SeriesSpec(args.family, args.start)
         enc = enclose_sum(spec, args.width, max_terms=args.max_terms)
-        met = enc is not None and enc.interval.width <= args.width
+        met = enc is not None and _within(enc, args.width)
         return [sum_row(spec, enc, args.width, met)], "sum"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -364,16 +364,14 @@ def iter_identities(max_n: int, cassini_max: int) -> Iterator[IdentityResult]:
     themselves run lazily, so a caller can write each result as it comes
     without holding the sweep.
     """
-    return _catalog(max_n, cassini_max, IdentityResult, jacobsthal_range)
+    return _catalog(max_n, cassini_max, IdentityResult)
 
 
-def _catalog(max_n: int, cassini_max: int, make: Callable, window: Callable) -> Iterator:
+def _catalog(max_n: int, cassini_max: int, make: Callable) -> Iterator:
     """`make(id, n, holds, lhs, rhs, relation, k, applicable, note)` for each
     row of the sweep, lazily, in report order; the caps are checked first.
     `IdentityResult` makes the library's results, and the report module's
-    row builder the CLI's rows, with nothing made in between.  The window
-    of J is `window(lo, hi)`, `jacobsthal_range` or the same function under
-    its caller's name."""
+    row builder the CLI's rows, with nothing made in between."""
     if max_n < 1:
         raise ValueError(f"need max_n >= 1, got {_shown(max_n)}")
     if cassini_max < 1:
@@ -382,7 +380,7 @@ def _catalog(max_n: int, cassini_max: int, make: Callable, window: Callable) -> 
     # needs J(2*max_n+1), the Cassini block J(2*cassini_max).  From n = 1
     # where computable, below the stated range included; step2.2 is not, and
     # starts at its stated n
-    J = window(0, 2 * max(max_n + 1, cassini_max))
+    J = jacobsthal_range(0, 2 * max(max_n + 1, cassini_max))
     return chain.from_iterable(
         _evaluate(e, J, range(1 if e.min_n <= 1 else e.stated_n,
                               (cassini_max if e.id == "lemma1.3" else max_n) + 1), make)

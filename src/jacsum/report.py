@@ -181,13 +181,14 @@ def _flatten_for_csv(row: ReportRow) -> list[str]:
     return [_csv_cell(p.get(col)) for col in CSV_HEADERS[row.kind]]
 
 
-def _approx_decimal(q: Fraction, places: int = 6) -> str:
-    """Deterministic decimal rendering for plain output (no float)."""
+def _approx_decimal(q: Fraction) -> str:
+    """Deterministic decimal rendering for plain output (no float), rounded
+    to six places."""
     sign = "-" if q < 0 else ""
     q = abs(q)
-    scaled = math.floor(q * 10**places + Fraction(1, 2))
-    whole, frac = divmod(scaled, 10**places)
-    return f"{sign}{whole}.{frac:0{places}d}"
+    scaled = math.floor(q * 10**6 + Fraction(1, 2))
+    whole, frac = divmod(scaled, 10**6)
+    return f"{sign}{whole}.{frac:06d}"
 
 
 def _parse_rat(text: str) -> Fraction:

@@ -81,12 +81,12 @@ run through it.
 
 An `Enclosure` keeps the round's integers as its one stored form, and
 `as_payload` writes each endpoint straight from them, shifting its
-trailing zero bits out of m and 2^p, and `enclose_sum` tests each
-round's width by cross-multiplying them with the goal.  So from the first
-round to the report no `Fraction` is built and no gcd is taken.
-`Fraction`s are made in two places only: when a caller first reads
-`Enclosure.interval` (the `sum` command does, once, for its width test),
-and in `enclose_inverse`, which returns the reciprocal as a `RatInterval`.
+trailing zero bits out of m and 2^p, and `_within`, the one width test of
+`enclose_sum` and the `sum` command, cross-multiplies them with the goal.
+So from the first round to the report no `Fraction` is built and no gcd
+is taken.  `Fraction`s are made in two places only: when a caller first
+reads `Enclosure.interval`, which no command does, and in
+`enclose_inverse`, which returns the reciprocal as a `RatInterval`.
 """
 
 from __future__ import annotations
@@ -441,14 +441,18 @@ def enclose_sum(
     width_goal = Fraction(width_goal)
     if width_goal <= 0:
         raise ValueError(f"width goal must be positive, got {_shown(width_goal)}")
-    num, den = width_goal.numerator, width_goal.denominator
     best: Enclosure | None = None
-    for enc in enclosures(spec, max_terms=max_terms):
-        best = enc
-        # width (_hi - _lo) / 2^_p <= num / den, cross-multiplied
-        if (enc._hi - enc._lo) * den <= num << enc._p:
+    for best in enclosures(spec, max_terms=max_terms):
+        if _within(best, width_goal):
             break
     return best
+
+
+def _within(enc: Enclosure, width_goal: Fraction) -> bool:
+    """Whether the width of `enc` is at most `width_goal`: the one test of
+    a width goal, made without a `Fraction` or a gcd."""
+    # (_hi - _lo) / 2^_p <= num / den, cross-multiplied
+    return (enc._hi - enc._lo) * width_goal.denominator <= width_goal.numerator << enc._p
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,14 @@ from fractions import Fraction
 import pytest
 
 from jacsum import (
-    SeriesFamily, SeriesSpec, Status, Verdict, enclose_sum, jacobsthal_closed_form,
+    SeriesFamily, SeriesSpec, Status, Verdict, enclose_sum, enclosures,
+    jacobsthal_closed_form,
 )
 from jacsum import cli, identities, identity_sweep
 from jacsum.cli import main
 from jacsum.report import emit_report, identity_row, sum_row, verdict_row
 from jacsum.series import Enclosure
-from jacsum.intervals import RatInterval
+from jacsum.intervals import RatInterval, int_str
 from jacsum.identities import check_lemma_1_5
 
 F = Fraction
@@ -92,6 +93,33 @@ def test_sum_undecided_exit_three(capsys):
     assert code == 3
     (row,) = json.loads(out)
     assert row["status"] == "undecided"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+def test_sum_width_goal_is_met_at_its_boundary(capsys, fmt):
+    # --max-terms pins the last round; a goal equal to its width, written as
+    # its exact decimal, is met, and the next smaller decimal is not.  The
+    # width's denominator 2^e has more than 640 digits
+    spec, max_terms = SeriesSpec(SeriesFamily.ALT_RECIP_SQUARED, 1200), 20
+    *_, last = enclosures(spec, max_terms=max_terms)
+    width = last.interval.width
+    e = width.denominator.bit_length() - 1
+    assert width.denominator == 1 << e and len(int_str(1 << e)) > 640
+    digits = width.numerator * 5**e  # width = digits / 10^e
+    for goal, status, expected_code in ((digits, "enclosed", 0), (digits - 1, "undecided", 3)):
+        code, out, _ = run(capsys, "sum", "--family", spec.family.value, "--start", str(spec.start),
+                           "--width", f"{int_str(goal)}e-{e}", "--max-terms", str(max_terms),
+                           "--format", fmt)
+        assert code == expected_code
+        if fmt == "json":
+            (row,) = json.loads(out)
+            assert row["status"] == status and row["enclosure"] == last.as_payload()
+        elif fmt == "csv":
+            header, line = out.splitlines()
+            row = dict(zip(header.split(","), line.split(",")))
+            assert row["status"] == status and row["terms"] == str(last.terms)
+        else:
+            assert out.endswith(f"(terms to {last.terms}, {status})\n")
 
 
 def test_verify_proof_implied_sweep(capsys):
@@ -180,7 +208,7 @@ def test_oversized_indices_are_rejected_while_parsing(capsys, monkeypatch, argv,
     def no_rows(*args):
         raise AssertionError(f"rows built for {argv}")
 
-    for name in ("jacobsthal_range", "_poly_rows", "iter_identities"):
+    for name in ("jacobsthal_range", "_poly_rows", "_catalog"):
         monkeypatch.setattr(cli, name, no_rows)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (64, "")
