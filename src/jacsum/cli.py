@@ -20,7 +20,9 @@ its rows, in report order, to `report.write_report`, which writes each row
 to stdout as it is made and works out the exit code on the way.  A usage
 error therefore prints nothing to stdout.  `identities` and `seq` make
 their rows lazily, so the memory of an `identities` sweep does not grow
-with its row count.
+with its row count.  `identities` hands the sweep the report module's
+identity renderer for the chosen format, so each row arrives as its text
+in that format, made from the row's values without a `ReportRow`.
 
 Arguments whose size alone would exhaust memory or time are rejected
 with exit 64 before any row is made: `seq --from`/`--to` and
@@ -50,7 +52,7 @@ from .identities import _catalog
 from .intervals import _INTEGER, _shown
 from .report import (
     ReportRow,
-    _identity_row,
+    _IDENTITY_RENDERERS,
     sequence_row,
     sum_row,
     verdict_row,
@@ -249,8 +251,9 @@ def _report_rows(args: argparse.Namespace) -> tuple[Iterable[ReportRow], str]:
             )
         return _poly_rows(args.x, args.lo, args.hi), "sequence"
     if args.command == "identities":
-        # made by the one identity row builder as the sweep evaluates them
-        return _catalog(args.to, args.cassini_max, _identity_row), "identity"
+        # each catalog entry's rows rendered in the report's format as the
+        # sweep evaluates them
+        return _catalog(args.to, args.cassini_max, _IDENTITY_RENDERERS[args.format]), "identity"
     if args.command == "sum":
         spec = SeriesSpec(args.family, args.start)
         enc = enclose_sum(spec, args.width, max_terms=args.max_terms)

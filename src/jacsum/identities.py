@@ -9,16 +9,20 @@ Integer-valued sides are kept as `int`; only sides that can be fractional
 The catalog is one table, `_CATALOG`: per identity its id, its relation,
 the first n at which its sides can be computed, the first n of its stated
 range, and a generator that evaluates both sides over a range of n,
-reading J by subscript from a given indexer.  One evaluator, `_evaluate`,
-runs an entry over its range and hands each row's fields to a row maker:
-`IdentityResult` for the library, the report module's row builder for the
-CLI, which so makes no `IdentityResult` per row.  Below the stated range
-it sets `applicable=False` and notes where that range starts.  `check_*`
-run the evaluator over a one-element range, reading J from the closed
-form, and raise `ValueError` below the first computable n.  A sweep makes
-one window J(0..2*max(max_n+1, cassini_max)) by one recurrence pass, and
-every entry, the Cassini block included, reads its J from that window;
-nothing outlives the sweep.
+reading J by subscript from a given indexer, and yields one side tuple
+(n, k, holds, lhs, rhs, note) per row.  One evaluator, `_evaluate`, runs
+an entry over its range and hands the side tuples to a renderer, called
+once per entry with the entry's id and relation and a lazy iterator of
+its tuples: `_results` makes the library's `IdentityResult`s, and the
+report module's identity renderers the CLI's report text, which so makes
+nothing per row but that text.  The evaluator also holds the stated-range
+rule: rows below the stated range go to the renderer in a call of their
+own, flagged not applicable, each note saying where that range starts.
+`check_*` run the evaluator over a one-element range, reading J from the
+closed form, and raise `ValueError` below the first computable n.  A
+sweep makes one window J(0..2*max(max_n+1, cassini_max)) by one
+recurrence pass, and every entry, the Cassini block included, reads its J
+from that window; nothing outlives the sweep.
 
 Rational comparisons are made on integers.  step2.1's second form,
 1/J(n) - 2/J(n+2) - 1/J(n+3) > 0, is checked as its numerator over the
@@ -55,6 +59,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 from typing import NamedTuple
 
@@ -239,17 +244,30 @@ _CATALOG = {
 }
 
 
-def _evaluate(entry: _Entry, J, ns: range, make: Callable, only_k: int | None = None):
-    """`make(id, n, holds, lhs, rhs, relation, k, applicable, note)` for each
-    row of one entry over the indices `ns`, all computable (lemma1.3: every
-    offset 1..n, or only_k), lazily.  Below the stated range a row is not
-    applicable, and its note says where that range starts."""
-    ident, relation, stated = entry.id, entry.relation, entry.stated_n
-    rows = entry.sides(J, ns) if only_k is None else entry.sides(J, ns, only_k)
-    for n, k, holds, lhs, rhs, note in rows:
-        if n < stated:
-            note += ("; " if note else "") + f"stated range starts at n={stated}"
-        yield make(ident, n, holds, lhs, rhs, relation, k, n >= stated, note)
+def _evaluate(entry: _Entry, J, ns: range, render: Callable, only_k: int | None = None):
+    """`render(id, relation, applicable, rows)` for one entry's rows over the
+    indices `ns`, all computable (lemma1.3: every offset 1..n, or only_k),
+    `rows` a lazy iterator of side tuples.  The stated-range rule: the rows
+    below the stated range, if any, are rendered first, in a call of their
+    own, not applicable and each noting where that range starts; the rows
+    inside it go to the renderer as the entry yields them."""
+    sides = entry.sides if only_k is None else partial(entry.sides, only_k=only_k)
+    stated = entry.stated_n
+    below = range(ns.start, min(ns.stop, stated))
+    if below:
+        where = f"stated range starts at n={stated}"
+        rows = ((n, k, holds, lhs, rhs, f"{note}; {where}" if note else where)
+                for n, k, holds, lhs, rhs, note in sides(J, below))
+        yield render(entry.id, entry.relation, False, rows)
+    within = range(max(ns.start, stated), ns.stop)
+    if within:
+        yield render(entry.id, entry.relation, True, sides(J, within))
+
+
+def _results(ident: str, relation: str, applicable: bool, rows) -> Iterator[IdentityResult]:
+    """The renderer of the library: an `IdentityResult` per side tuple."""
+    return (IdentityResult(ident, n, holds, lhs, rhs, relation, k, applicable, note)
+            for n, k, holds, lhs, rhs, note in rows)
 
 
 class _ClosedForm:
@@ -266,7 +284,8 @@ def _check(ident: str, n: int, k: int | None = None) -> IdentityResult:
     entry = _CATALOG[ident]
     if n < entry.min_n:
         raise ValueError(f"{ident} needs n >= {entry.min_n}, got {_shown(n)}")
-    return next(_evaluate(entry, _ClosedForm(), range(n, n + 1), IdentityResult, k))
+    (part,) = _evaluate(entry, _ClosedForm(), range(n, n + 1), _results, k)
+    return next(part)
 
 
 def check_lemma_1_1(n: int) -> IdentityResult:
@@ -364,14 +383,16 @@ def iter_identities(max_n: int, cassini_max: int) -> Iterator[IdentityResult]:
     themselves run lazily, so a caller can write each result as it comes
     without holding the sweep.
     """
-    return _catalog(max_n, cassini_max, IdentityResult)
+    return _catalog(max_n, cassini_max, _results)
 
 
-def _catalog(max_n: int, cassini_max: int, make: Callable) -> Iterator:
-    """`make(id, n, holds, lhs, rhs, relation, k, applicable, note)` for each
-    row of the sweep, lazily, in report order; the caps are checked first.
-    `IdentityResult` makes the library's results, and the report module's
-    row builder the CLI's rows, with nothing made in between."""
+def _catalog(max_n: int, cassini_max: int, render: Callable) -> Iterator:
+    """What `render` makes of the sweep's rows, lazily, in report order; the
+    caps are checked first.  `render(id, relation, applicable, rows)` is
+    called once per catalog entry (twice for an entry whose rows start below
+    its stated range; see `_evaluate`) and returns an iterable: `_results`
+    makes the library's `IdentityResult`s, and each report renderer the
+    CLI's report items in one format, with nothing made in between."""
     if max_n < 1:
         raise ValueError(f"need max_n >= 1, got {_shown(max_n)}")
     if cassini_max < 1:
@@ -382,7 +403,9 @@ def _catalog(max_n: int, cassini_max: int, make: Callable) -> Iterator:
     # starts at its stated n
     J = jacobsthal_range(0, 2 * max(max_n + 1, cassini_max))
     return chain.from_iterable(
-        _evaluate(e, J, range(1 if e.min_n <= 1 else e.stated_n,
-                              (cassini_max if e.id == "lemma1.3" else max_n) + 1), make)
+        part
         for e in _CATALOG.values()
+        for part in _evaluate(e, J, range(1 if e.min_n <= 1 else e.stated_n,
+                                          (cassini_max if e.id == "lemma1.3" else max_n) + 1),
+                              render)
     )

@@ -9,6 +9,7 @@ is exact: no floating point enters any verdict.
 
 from __future__ import annotations
 
+import decimal
 import math
 import re
 from dataclasses import dataclass
@@ -33,10 +34,27 @@ class NotInvertibleError(ValueError):
     """The interval contains zero, so it has no bounded reciprocal image."""
 
 
-# int_str converts 10^_CHUNK at a time; CPython never sets its int-to-str
-# digit limit below 640, so str() of one chunk always succeeds
+# int_str's fallback converts an integer of at most _SPLIT_BITS bits
+# 10^_CHUNK at a time; CPython never sets its int-to-str digit limit below
+# 640, so str() of one chunk always succeeds.  That takes time quadratic in
+# the length, so a longer integer is split in binary halves down to pieces
+# of that size, which are combined in exact decimal arithmetic: no
+# operation may round.  Below about 2^15 bits the chunks are the faster of
+# the two, above it the split (CPython 3.11).
 _CHUNK = 500
 _CHUNK_BASE = 10**_CHUNK
+_SPLIT_BITS = 1 << 15
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
+
+
+def _chunked(value: int) -> str:
+    """Decimal form of an integer >= 0, converted 10^_CHUNK at a time."""
+    chunks = []
+    while value >= _CHUNK_BASE:
+        value, low = divmod(value, _CHUNK_BASE)
+        chunks.append(str(low).zfill(_CHUNK))
+    chunks.append(str(value))
+    return "".join(reversed(chunks))
 
 
 def int_str(value: int) -> str:
@@ -44,19 +62,30 @@ def int_str(value: int) -> str:
 
     Pure and thread-safe: the interpreter's int-to-str limit (4300 digits
     by default) is neither read nor changed.  An integer too long for
-    str() under that limit is converted 10^_CHUNK at a time.
+    str() under that limit is converted 10^_CHUNK at a time, and one of
+    more than _SPLIT_BITS bits is first split in halves, hi * 2^w + lo in
+    exact `decimal` arithmetic, each 2^w made once.
     """
     try:
         return str(value)
     except ValueError:
         pass
     sign, value = ("-", -value) if value < 0 else ("", value)
-    chunks = []
-    while value >= _CHUNK_BASE:
-        value, low = divmod(value, _CHUNK_BASE)
-        chunks.append(str(low).zfill(_CHUNK))
-    chunks.append(str(value))
-    return sign + "".join(reversed(chunks))
+    if value.bit_length() <= _SPLIT_BITS:
+        return sign + _chunked(value)
+    powers: dict[int, decimal.Decimal] = {}
+
+    def convert(v: int) -> decimal.Decimal:
+        bits = v.bit_length()
+        if bits <= _SPLIT_BITS:
+            return decimal.Decimal(_chunked(v))
+        w = bits >> 1
+        if w not in powers:
+            powers[w] = decimal.Decimal(2) ** w
+        return convert(v >> w) * powers[w] + convert(v & ((1 << w) - 1))
+
+    with decimal.localcontext(_EXACT):
+        return sign + str(convert(value))
 
 
 # Longest value an error message quotes whole; a longer one is shown by its

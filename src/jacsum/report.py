@@ -18,12 +18,21 @@ names, relations, notes) goes through the `json` string encoder.
 `write_report` is the one writer.  It takes rows already in report order,
 from any iterable, and writes each row to the output as soon as it is
 made, so a report never has to be held in memory whole.  The writer of
-each format gathers the rows' statuses in the loop that writes them, one
-string per row for JSON, and `write_report` works out the exit code from
-them.  `emit_report` sorts a list of rows and returns the report as a
-string.  `_identity_row` is the one identity row builder: `identity_row`
-calls it on an `IdentityResult`, and the CLI has the identity sweep call
-it on each row's fields as the sweep evaluates them.
+each format gathers the rows' statuses in the loop that writes them, and
+`write_report` works out the exit code from them.  `emit_report` sorts a
+list of rows and returns the report as a string.
+
+An identity row is made by one per-row step, `_identity_renderer`: the
+verdict from `holds` and the stated range, the sides through `rat_str`.
+It writes through a template per format that is made once per catalog
+entry, with the entry's id and relation already in its text (see
+`_identity_json`); a CSV row is the CSV_HEADERS columns in order.
+`identity_row` is that step with a payload template, and
+`_JSON_ROW["identity"]` and `_plain_line` write a payload through the
+JSON and plain templates.  For the CLI, `identities._catalog` calls the
+identity renderer of the report's format once per entry: it turns each
+side tuple straight into the row's text, which the writer writes as it
+is, so no `ReportRow` or payload is made per row.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ import csv
 import io
 import json
 import math
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -102,29 +111,11 @@ def sequence_row(n: int, x: int, value: int) -> ReportRow:
 
 
 def identity_row(res: IdentityResult) -> ReportRow:
-    return _identity_row(
-        res.identity, res.n, res.holds, res.lhs, res.rhs, res.relation, res.k,
-        res.applicable, res.note,
+    ((_, row),) = _identity_payloads(
+        res.identity, res.relation, res.applicable,
+        ((res.n, res.k, res.holds, res.lhs, res.rhs, res.note),),
     )
-
-
-def _identity_row(identity, n, holds, lhs, rhs, relation, k, applicable, note) -> ReportRow:
-    """The row of one identity check, from the fields of its `IdentityResult`
-    in their order: `identities._catalog` makes the CLI's rows with it."""
-    lhs_text = rat_str(lhs)
-    return ReportRow(
-        "identity",
-        {
-            "identity": identity,
-            "n": n,
-            "k": k,
-            "verdict": ("holds" if holds else "fails") if applicable else "not-applicable",
-            "relation": relation,
-            "lhs": lhs_text,
-            "rhs": lhs_text if rhs is lhs or rhs == lhs else rat_str(rhs),
-            "note": note,
-        },
-    )
+    return row
 
 
 def sum_row(
@@ -203,11 +194,7 @@ def _plain_line(row: ReportRow) -> str:
         label = f"J({p['n']})" if p["x"] == 2 else f"P({p['n']}; x={int_str(p['x'])})"
         return f"{label} = {p['value']}"
     if row.kind == "identity":
-        where = f"n={p['n']}" + (f", k={p['k']}" if p["k"] is not None else "")
-        head = f"{p['identity']:<10} {where:<14} {p['verdict']:<14}"
-        detail = f"{p['lhs']} {p['relation']} {p['rhs']}"
-        note = f"  [{p['note']}]" if p["note"] else ""
-        return f"{head} {detail}{note}"
+        return _identity_plain(p["identity"], p["relation"])(*_identity_fields(p))
     if row.kind == "sum":
         enc = p["enclosure"]
         if enc is None:
@@ -247,13 +234,8 @@ def _sequence_json(p: dict) -> str:
     return f'{{"n":{int_str(p["n"])},"x":{int_str(p["x"])},"value":"{p["value"]}"}}'
 
 
-def _identity_json(p: dict) -> str:
-    return (
-        f'{{"identity":{_json_str(p["identity"])},"n":{int_str(p["n"])},'
-        f'"k":{_int_or_null(p["k"])},"verdict":"{p["verdict"]}",'
-        f'"relation":{_json_str(p["relation"])},"lhs":"{p["lhs"]}","rhs":"{p["rhs"]}",'
-        f'"note":{_json_str(p["note"])}}}'
-    )
+def _identity_json_row(p: dict) -> str:
+    return _identity_json(p["identity"], p["relation"])(*_identity_fields(p))
 
 
 def _sum_json(p: dict) -> str:
@@ -277,72 +259,165 @@ def _verdict_json(p: dict) -> str:
 
 _JSON_ROW = {
     "sequence": _sequence_json,
-    "identity": _identity_json,
+    "identity": _identity_json_row,
     "sum": _sum_json,
     "verdict": _verdict_json,
 }
 
 
-# Each writer returns the set of row statuses it wrote, which it gathers in
-# the loop that writes the rows: `write_report` works out the exit code from
-# it.
+# The identity template of each format.  `_identity_<format>(identity,
+# relation)` makes the constant text of one catalog entry once and returns
+# the entry's row formatter, `row(n, k, verdict, lhs, rhs, note)`, the
+# sides already text.  The renderers pass n and k as ints, which str()
+# writes: the catalog's indices are far below any int-to-str digit limit,
+# since a window of J reaching twice as far is built first.  A payload's n
+# and k are passed as the text `int_str` writes, so an `identity_row` of
+# any size is written in full.
 
 
-def _status_key(kind: str) -> str:
-    """The payload key that holds the status of a row of this kind."""
-    return "verdict" if kind == "identity" else "status"
+def _identity_fields(p: dict) -> tuple:
+    """The row formatter's arguments from an identity payload."""
+    n, k = int_str(p["n"]), p["k"] if p["k"] is None else int_str(p["k"])
+    return n, k, p["verdict"], p["lhs"], p["rhs"], p["note"]
 
 
-def _write_json(rows: Iterable[ReportRow], kind: str, out: TextIO) -> set:
-    write, template, seen, sep = out.write, _JSON_ROW[kind], set(), "["
-    status = _status_key(kind)
-    for row in rows:
-        p = row.payload
-        seen.add(p.get(status))
-        write(sep + template(p))
+def _identity_json(identity: str, relation: str) -> Callable[..., str]:
+    head = '{"identity":' + _json_str(identity) + ',"n":'
+    mid = ',"relation":' + _json_str(relation) + ',"lhs":"'
+
+    def row(n, k, verdict, lhs, rhs, note):
+        k = "null" if k is None else k
+        note = _json_str(note)
+        return f'{head}{n},"k":{k},"verdict":"{verdict}"{mid}{lhs}","rhs":"{rhs}","note":{note}}}'
+
+    return row
+
+
+def _identity_csv(identity: str, relation: str) -> Callable[..., tuple]:
+    def row(n, k, verdict, lhs, rhs, note):
+        return ("identity", identity, n, k, verdict, relation, lhs, rhs, note)
+
+    return row
+
+
+def _identity_plain(identity: str, relation: str) -> Callable[..., str]:
+    head, mid = f"{identity:<10} ", f" {relation} "
+
+    def row(n, k, verdict, lhs, rhs, note):
+        where = f"n={n}" if k is None else f"n={n}, k={k}"
+        note = f"  [{note}]" if note else ""
+        return f"{head}{where:<14} {verdict:<14} {lhs}{mid}{rhs}{note}"
+
+    return row
+
+
+def _identity_payload(identity: str, relation: str) -> Callable[..., ReportRow]:
+    def row(n, k, verdict, lhs, rhs, note):
+        return ReportRow("identity", {
+            "identity": identity, "n": n, "k": k, "verdict": verdict,
+            "relation": relation, "lhs": lhs, "rhs": rhs, "note": note,
+        })
+
+    return row
+
+
+def _identity_renderer(template: Callable) -> Callable:
+    """A renderer for `identities._catalog`, called once per catalog entry:
+    it yields (verdict, row) for each of the entry's side tuples (n, k,
+    holds, lhs, rhs, note), the row written by the entry's `template`, the
+    sides as `rat_str` writes them, an equal right side converted once."""
+
+    def render(identity: str, relation: str, applicable: bool, rows) -> Iterator[tuple]:
+        row = template(identity, relation)
+        holds_text, fails_text = ("holds", "fails") if applicable else ("not-applicable",) * 2
+        for n, k, holds, lhs, rhs, note in rows:
+            verdict = holds_text if holds else fails_text
+            lhs_text = int_str(lhs) if type(lhs) is int else rat_str(lhs)
+            rhs_text = lhs_text if rhs is lhs or rhs == lhs else rat_str(rhs)
+            yield verdict, row(n, k, verdict, lhs_text, rhs_text, note)
+
+    return render
+
+
+_identity_payloads = _identity_renderer(_identity_payload)
+
+# per format, the renderer of the CLI's identity report: the writer of the
+# format writes what it yields as it is
+_IDENTITY_RENDERERS = {
+    "json": _identity_renderer(_identity_json),
+    "csv": _identity_renderer(_identity_csv),
+    "plain": _identity_renderer(_identity_plain),
+}
+
+
+# Each writer takes (status, item) pairs: the row's status and the row as
+# the writer writes it, a JSON object's text, a CSV record's cells or a
+# plain line.  It returns the set of statuses it wrote, gathered in the
+# loop that writes the rows: `write_report` works out the exit code from it.
+
+
+def _write_json(items: Iterable[tuple], kind: str, out: TextIO) -> set:
+    write, seen, sep = out.write, set(), "["
+    for status, text in items:
+        seen.add(status)
+        write(sep + text)
         sep = ","
     write("[]\n" if sep == "[" else "]\n")
     return seen
 
 
-def _write_csv(rows: Iterable[ReportRow], kind: str, out: TextIO) -> set:
-    writer, seen, status = csv.writer(out, lineterminator="\n"), set(), _status_key(kind)
+def _write_csv(items: Iterable[tuple], kind: str, out: TextIO) -> set:
+    writer, seen = csv.writer(out, lineterminator="\n"), set()
     writer.writerow(CSV_HEADERS[kind])
-    for row in rows:
-        seen.add(row.payload.get(status))
-        writer.writerow(_flatten_for_csv(row))
+    for status, cells in items:
+        seen.add(status)
+        writer.writerow(cells)
     return seen
 
 
-def _write_plain(rows: Iterable[ReportRow], kind: str, out: TextIO) -> set:
-    seen, status = set(), _status_key(kind)
-    for row in rows:
-        seen.add(row.payload.get(status))
-        out.write(_plain_line(row) + "\n")
+def _write_plain(items: Iterable[tuple], kind: str, out: TextIO) -> set:
+    write, seen = out.write, set()
+    for status, line in items:
+        seen.add(status)
+        write(line + "\n")
     if not seen:
-        out.write("(no rows)\n")
+        write("(no rows)\n")
     return seen
 
 
-_WRITERS = {"json": _write_json, "csv": _write_csv, "plain": _write_plain}
+# per format, its writer and the item it writes for a `ReportRow`
+_WRITERS = {
+    "json": (_write_json, lambda row: _JSON_ROW[row.kind](row.payload)),
+    "csv": (_write_csv, _flatten_for_csv),
+    "plain": (_write_plain, _plain_line),
+}
 
 
-def write_report(rows: Iterable[ReportRow], fmt: str, kind: str, out: TextIO) -> int:
+def _items(rows: Iterable, kind: str, item: Callable) -> Iterator[tuple]:
+    """(status, item) for each row: a `ReportRow` is made into its item here,
+    and a pair that an identity renderer made passes as it is."""
+    key = "verdict" if kind == "identity" else "status"
+    for row in rows:
+        yield (row.payload.get(key), item(row)) if type(row) is ReportRow else row
+
+
+def write_report(rows: Iterable, fmt: str, kind: str, out: TextIO) -> int:
     """Write rows, already in report order, to `out` in one of json/csv/plain.
 
-    Each row is written as soon as `rows` yields it and nothing keeps it
-    afterwards, so a generator of rows is written in constant memory.
-    `kind` fixes the CSV header even when `rows` is empty, the JSON
-    template of every row and the payload key of its status: all rows of
+    Each row is a `ReportRow` or, in an identity report, a (verdict, item)
+    pair that `_IDENTITY_RENDERERS[fmt]` made.  Each row is written as soon
+    as `rows` yields it and nothing keeps it afterwards, so a generator of
+    rows is written in constant memory.  `kind` fixes the CSV header even
+    when `rows` is empty and the payload key of a row's status: all rows of
     one report share a kind.  Returns the report's exit code: EXIT_REFUTED
     if a verdict is refuted or an identity fails, else EXIT_UNDECIDED if a
     verdict or sum is undecided, else EXIT_OK.
     """
     try:
-        write = _WRITERS[fmt]
+        write, item = _WRITERS[fmt]
     except KeyError:
         raise ValueError(f"unknown format {fmt!r}") from None
-    seen = write(rows, kind, out)
+    seen = write(_items(rows, kind, item), kind, out)
     if not seen.isdisjoint(("refuted", "fails")):
         return EXIT_REFUTED
     return EXIT_UNDECIDED if "undecided" in seen else EXIT_OK

@@ -1,6 +1,8 @@
 import argparse
 import contextlib
+import csv
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -555,3 +557,37 @@ def test_a_failing_identity_fails_the_cli_run(capsys, monkeypatch, fmt):
     assert out.count("fails") == 1
     failed = [r for r in identity_sweep(9, 6) if r.failed]
     assert [(r.identity, r.n, r.k, r.lhs - r.rhs) for r in failed] == [("lemma1.3", 5, 2, 1)]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_identity_free_text_is_escaped_alike_by_cli_and_library(capsys, monkeypatch, fmt):
+    # an entry's relation and a row's note as text no report writes bare; the
+    # entry has rows below its stated range (n = 1, 2) and a failing row (n = 4)
+    odd = 'a "quoted" {brace}, back\\slash,\na new line and caf\u00e9'
+    relation = "< " + odd
+    entry = identities._CATALOG["lemma1.2c"]
+
+    def noted(J, ns):
+        for n, k, holds, lhs, rhs, note in entry.sides(J, ns):
+            if n in (1, 4):
+                holds, note = n != 4, odd
+            yield n, k, holds, lhs, rhs, note
+
+    monkeypatch.setitem(identities._CATALOG, "lemma1.2c",
+                        entry._replace(relation=relation, sides=noted))
+    code, out, _ = run(capsys, "identities", "--to", "5", "--cassini-max", "2", "--format", fmt)
+    assert code == 2
+    assert out == _library_identities_report(5, 2, fmt)
+    stated = "stated range starts at n=3"
+    want = [("1", "not-applicable", relation, f"{odd}; {stated}"),
+            ("2", "not-applicable", relation, stated), ("3", "holds", relation, ""),
+            ("4", "fails", relation, odd), ("5", "holds", relation, "")]
+    if fmt == "json":
+        rows = [r for r in json.loads(out) if r["identity"] == "lemma1.2c"]
+        assert [(str(r["n"]), r["verdict"], r["relation"], r["note"]) for r in rows] == want
+    elif fmt == "csv":
+        header, *rows = csv.reader(io.StringIO(out))
+        rows = [dict(zip(header, r)) for r in rows if r[1] == "lemma1.2c"]
+        assert [(r["n"], r["verdict"], r["relation"], r["note"]) for r in rows] == want
+    else:
+        assert out.count(relation) == 5 and out.count(f"  [{odd}]") == 1

@@ -1,9 +1,13 @@
+import json
 import math
+import os
+import random
+import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from jacsum import (
     NotInvertibleError,
@@ -138,6 +142,75 @@ def test_int_str_matches_str_under_the_lowest_digit_limit():
         sys.set_int_max_str_digits(old)
     assert got == want
     assert ratios == [f"{want[11]}/{want[12]}", want[8], want[9]]
+
+
+# int_str in a child started under the lowest digit limit CPython accepts,
+# against str() in the same child once it has lifted the limit; the test
+# process's own limit is never touched.  The values travel in hex, which no
+# digit limit bounds.
+_INT_STR_AGAINST_STR = """
+import json, sys
+from jacsum.intervals import int_str
+
+assert sys.get_int_max_str_digits() == 640
+values = [int(word, 16) for word in sys.stdin.read().split()]
+got = [int_str(v) for v in values]
+sys.set_int_max_str_digits(0)
+print(json.dumps([i for i, (text, v) in enumerate(zip(got, values)) if text != str(v)]))
+"""
+
+
+def _int_str_mismatches(values: list) -> list:
+    """Indices of `values` whose `int_str` under the lowest digit limit is
+    not their `str()` without a limit."""
+    proc = subprocess.run([sys.executable, "-c", _INT_STR_AGAINST_STR],
+                          input=" ".join(map(hex, values)), capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONINTMAXSTRDIGITS": "640"})
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+_needs_digit_limit = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                                        reason="interpreter has no int-to-str digit limit")
+
+
+@_needs_digit_limit
+def test_int_str_equals_str_from_the_digit_limit_to_a_million_bits():
+    # zero, signs, powers of 2 and 10, 10^k - 1 and random values; str() of
+    # the reference takes about 0.1 s at 262,200 bits and 1 s at 10^6 bits
+    rng = random.Random(15)
+    values = [0, 1, -1, 10**639, 10**640 - 1, 10**640, -(10**640)]
+    for bits in (2127, 4096, 4097, 8193, 14300, 29001, 50000):
+        v = rng.getrandbits(bits) | 1 << (bits - 1)
+        values += [v, -v, 1 << bits, -(1 << bits), (1 << bits) - 1, 1 << (bits - 1)]
+    for k in (641, 1234, 4300, 4301, 10_000):
+        values += [10**k, -(10**k), 10**k - 1, 10**k + 1]
+    v = rng.getrandbits(262_200) | 1 << 262_199
+    values += [v, -v, 1 << 262_200, (1 << 262_200) - 1, 10**78_929, -(10**301_029 - 1)]
+    assert max(v.bit_length() for v in values) == 999_997  # 10^301029 - 1
+    assert _int_str_mismatches(values) == []
+
+
+@st.composite
+def long_ints(draw):
+    """An integer of 2,100 to 60,000 bits, past the lowest digit limit:
+    random, a power of 2 or 10, or 10^k - 1, of either sign."""
+    bits = draw(st.integers(2100, 60_000))
+    kind = draw(st.sampled_from(("random", "2^k", "10^k", "10^k - 1")))
+    if kind == "random":
+        v = random.Random(draw(st.integers(0, 2**32))).getrandbits(bits) | 1 << (bits - 1)
+    elif kind == "2^k":
+        v = 1 << bits
+    else:
+        v = 10 ** (bits * 3 // 10) - (kind == "10^k - 1")
+    return -v if draw(st.booleans()) else v
+
+
+@_needs_digit_limit
+@settings(max_examples=12, deadline=None)
+@given(st.lists(long_ints(), min_size=1, max_size=8))
+def test_int_str_equals_str_on_drawn_long_integers(values):
+    assert _int_str_mismatches(values) == []
 
 
 # --- the integer reciprocal view against the Fraction path ---
