@@ -21,8 +21,10 @@ to stdout as it is made and works out the exit code on the way.  A usage
 error therefore prints nothing to stdout.  `identities` and `seq` make
 their rows lazily, so the memory of an `identities` sweep does not grow
 with its row count.  `identities` hands the sweep the report module's
-identity renderer for the chosen format, so each row arrives as its text
-in that format, made from the row's values without a `ReportRow`.
+identity renderer for the chosen format, made from the identity template
+that also writes an identity `ReportRow` in that format: each row arrives
+as a (verdict, item) pair, the item the row as that format's writer
+writes it, made from the row's values without a `ReportRow`.
 
 Arguments whose size alone would exhaust memory or time are rejected
 with exit 64 before any row is made: `seq --from`/`--to` and
@@ -231,11 +233,13 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
-def _report_rows(args: argparse.Namespace) -> tuple[Iterable[ReportRow], str]:
+def _report_rows(args: argparse.Namespace) -> tuple[Iterable[ReportRow | tuple], str]:
     """The command's rows in report order, and their kind.
 
-    Every argument is checked here, before any row is written; the rows
-    of `seq`, `poly` and `identities` are made lazily, as they are written.
+    The rows are `ReportRow`s, except those of `identities`: (verdict,
+    item) pairs from the report's identity renderer.  Every argument is
+    checked here, before any row is written; the rows of `seq`, `poly` and
+    `identities` are made lazily, as they are written.
     """
     if args.command == "seq":
         values = jacobsthal_range(args.lo, args.hi)

@@ -7,13 +7,27 @@ floating point ever reaches JSON or CSV.  Every integer is written in full
 through `intervals.int_str`, whatever the interpreter's int-to-str digit
 limit, so a report is the same from the library as from the CLI.
 
-A JSON row is written from one template per row kind, key for key what
-`json.dumps(row.payload, separators=(",", ":"))` writes.  Rational text
-(digits, "-" and "/", from `rat_str`, or from `Enclosure.as_payload`,
-which writes an endpoint's integers as `rat_str` would write its value)
-and the closed status and family values need no escaping and go between
-the quotes as they are; only free text (identity, theorem and variant
-names, relations, notes) goes through the `json` string encoder.
+One table, `_FORMATS`, holds per format its writer and one formatter per
+row kind.  A formatter takes a row's values in its payload's key order and
+returns the row as its writer writes it: a JSON object's text, a CSV
+record's cells (the CSV_HEADERS columns) or a plain line.  A `ReportRow`
+is written as `formatters[row.kind](*row.payload.values())`.  A JSON
+formatter writes, key for key, what `json.dumps(row.payload,
+separators=(",", ":"))` writes.  Rational text (digits, "-" and "/", from
+`rat_str`, or from `Enclosure.as_payload`, which writes an endpoint's
+integers as `rat_str` would write its value) and the closed status and
+family values need no escaping and go between the quotes as they are; only
+free text (identity, theorem and variant names, relations, notes) goes
+through the `json` string encoder.
+
+The identity formatters are entry templates, `_identity_<format>(identity,
+relation)`, which make the constant text of one catalog entry once and
+return the entry's `row(n, k, verdict, lhs, rhs, note)`.  `_by_payload`
+feeds a template an identity payload.  For the CLI, `identities._catalog`
+calls the identity renderer of the report's format once per entry, built
+from the same templates: it turns each side tuple straight into the row's
+text, which the writer writes as it is, so no `ReportRow` or payload is
+made per row.  `identity_row` is that renderer with a payload template.
 
 `write_report` is the one writer.  It takes rows already in report order,
 from any iterable, and writes each row to the output as soon as it is
@@ -21,18 +35,6 @@ made, so a report never has to be held in memory whole.  The writer of
 each format gathers the rows' statuses in the loop that writes them, and
 `write_report` works out the exit code from them.  `emit_report` sorts a
 list of rows and returns the report as a string.
-
-An identity row is made by one per-row step, `_identity_renderer`: the
-verdict from `holds` and the stated range, the sides through `rat_str`.
-It writes through a template per format that is made once per catalog
-entry, with the entry's id and relation already in its text (see
-`_identity_json`); a CSV row is the CSV_HEADERS columns in order.
-`identity_row` is that step with a payload template, and
-`_JSON_ROW["identity"]` and `_plain_line` write a payload through the
-JSON and plain templates.  For the CLI, `identities._catalog` calls the
-identity renderer of the report's format once per entry: it turns each
-side tuple straight into the row's text, which the writer writes as it
-is, so no `ReportRow` or payload is made per row.
 """
 
 from __future__ import annotations
@@ -153,25 +155,6 @@ def verdict_row(v: Verdict) -> ReportRow:
     )
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return int_str(value) if type(value) is int else str(value)
-
-
-def _flatten_for_csv(row: ReportRow) -> list[str]:
-    p = dict(row.payload)
-    enc = p.pop("enclosure", None)
-    if "lo" in CSV_HEADERS[row.kind]:
-        p["lo"] = enc["lo"] if enc else None
-        p["hi"] = enc["hi"] if enc else None
-        p["terms"] = enc["terms"] if enc else None
-    p["kind"] = row.kind
-    return [_csv_cell(p.get(col)) for col in CSV_HEADERS[row.kind]]
-
-
 def _approx_decimal(q: Fraction) -> str:
     """Deterministic decimal rendering for plain output (no float), rounded
     to six places."""
@@ -188,40 +171,13 @@ def _parse_rat(text: str) -> Fraction:
     return Fraction(*(int(Decimal(part)) for part in text.split("/")))
 
 
-def _plain_line(row: ReportRow) -> str:
-    p = row.payload
-    if row.kind == "sequence":
-        label = f"J({p['n']})" if p["x"] == 2 else f"P({p['n']}; x={int_str(p['x'])})"
-        return f"{label} = {p['value']}"
-    if row.kind == "identity":
-        return _identity_plain(p["identity"], p["relation"])(*_identity_fields(p))
-    if row.kind == "sum":
-        enc = p["enclosure"]
-        if enc is None:
-            return f"{p['family']} from k={p['start']}: {p['status']} (no enclosure in budget)"
-        mid = (_parse_rat(enc["lo"]) + _parse_rat(enc["hi"])) / 2
-        return (
-            f"{p['family']} from k={p['start']}: [{enc['lo']}, {enc['hi']}]"
-            f" ~ {_approx_decimal(mid)} (terms to {enc['terms']}, {p['status']})"
-        )
-    enc = p["enclosure"]
-    terms = f"terms={enc['terms']}" if enc else "no enclosure"
-    decided = f" decided={int_str(p['decided'])}" if p["decided"] is not None else ""
-    expected = f" expected={int_str(p['expected'])}" if p["expected"] is not None else ""
-    flag = " DISCREPANCY" if p["discrepancy"] else ""
-    note = f"  [{p['note']}]" if p["note"] else ""
-    return (
-        f"theorem {p['theorem']:<4} n={p['n']:<4} {p['variant']:<14}"
-        f" {p['status']:<14}{decided}{expected} {terms}{flag}{note}"
-    )
-
-
 # a str as a JSON string literal: the C function JSONEncoder().encode calls
 _json_str = json.encoder.encode_basestring_ascii
 
 
-def _int_or_null(value: int | None) -> str:
-    return "null" if value is None else int_str(value)
+def _int_text(value: int | None, none: str) -> str:
+    """An optional integer's text: `int_str` of it, or `none` for None."""
+    return none if value is None else int_str(value)
 
 
 def _enclosure_json(enc: dict | None) -> str:
@@ -230,39 +186,73 @@ def _enclosure_json(enc: dict | None) -> str:
     return f'{{"lo":"{enc["lo"]}","hi":"{enc["hi"]}","terms":{int_str(enc["terms"])}}}'
 
 
-def _sequence_json(p: dict) -> str:
-    return f'{{"n":{int_str(p["n"])},"x":{int_str(p["x"])},"value":"{p["value"]}"}}'
+def _enclosure_cells(enc: dict | None) -> tuple:
+    return ("", "", "") if enc is None else (enc["lo"], enc["hi"], int_str(enc["terms"]))
 
 
-def _identity_json_row(p: dict) -> str:
-    return _identity_json(p["identity"], p["relation"])(*_identity_fields(p))
+# The formatters of each row kind, fed the payload's values in key order.
 
 
-def _sum_json(p: dict) -> str:
+def _sequence_json(n, x, value) -> str:
+    return f'{{"n":{int_str(n)},"x":{int_str(x)},"value":"{value}"}}'
+
+
+def _sequence_csv(n, x, value) -> tuple:
+    return "sequence", int_str(n), int_str(x), value
+
+
+def _sequence_plain(n, x, value) -> str:
+    label = f"J({int_str(n)})" if x == 2 else f"P({int_str(n)}; x={int_str(x)})"
+    return f"{label} = {value}"
+
+
+def _sum_json(family, start, status, enclosure, width) -> str:
     return (
-        f'{{"family":"{p["family"]}","start":{int_str(p["start"])},'
-        f'"status":"{p["status"]}","enclosure":{_enclosure_json(p["enclosure"])},'
-        f'"width":"{p["width"]}"}}'
+        f'{{"family":"{family}","start":{int_str(start)},"status":"{status}",'
+        f'"enclosure":{_enclosure_json(enclosure)},"width":"{width}"}}'
     )
 
 
-def _verdict_json(p: dict) -> str:
+def _sum_csv(family, start, status, enclosure, width) -> tuple:
+    return "sum", family, int_str(start), status, *_enclosure_cells(enclosure), width
+
+
+def _sum_plain(family, start, status, enc, width) -> str:
+    head = f"{family} from k={int_str(start)}:"
+    if enc is None:
+        return f"{head} {status} (no enclosure in budget)"
+    mid = (_parse_rat(enc["lo"]) + _parse_rat(enc["hi"])) / 2
     return (
-        f'{{"theorem":{_json_str(p["theorem"])},"variant":{_json_str(p["variant"])},'
-        f'"n":{int_str(p["n"])},"status":"{p["status"]}",'
-        f'"decided":{_int_or_null(p["decided"])},"expected":{_int_or_null(p["expected"])},'
-        f'"enclosure":{_enclosure_json(p["enclosure"])},'
-        f'"discrepancy":{"true" if p["discrepancy"] else "false"},'
-        f'"note":{_json_str(p["note"])}}}'
+        f"{head} [{enc['lo']}, {enc['hi']}] ~ {_approx_decimal(mid)}"
+        f" (terms to {enc['terms']}, {status})"
     )
 
 
-_JSON_ROW = {
-    "sequence": _sequence_json,
-    "identity": _identity_json_row,
-    "sum": _sum_json,
-    "verdict": _verdict_json,
-}
+def _verdict_json(theorem, variant, n, status, decided, expected, enc, discrepancy, note):
+    return (
+        f'{{"theorem":{_json_str(theorem)},"variant":{_json_str(variant)},"n":{int_str(n)},'
+        f'"status":"{status}","decided":{_int_text(decided, "null")},'
+        f'"expected":{_int_text(expected, "null")},"enclosure":{_enclosure_json(enc)},'
+        f'"discrepancy":{"true" if discrepancy else "false"},"note":{_json_str(note)}}}'
+    )
+
+
+def _verdict_csv(theorem, variant, n, status, decided, expected, enc, discrepancy, note):
+    return ("verdict", theorem, variant, int_str(n), status, _int_text(decided, ""),
+            _int_text(expected, ""), *_enclosure_cells(enc), "true" if discrepancy else "false",
+            note)
+
+
+def _verdict_plain(theorem, variant, n, status, decided, expected, enc, discrepancy, note):
+    terms = f"terms={enc['terms']}" if enc else "no enclosure"
+    decided = f" decided={int_str(decided)}" if decided is not None else ""
+    expected = f" expected={int_str(expected)}" if expected is not None else ""
+    flag = " DISCREPANCY" if discrepancy else ""
+    note = f"  [{note}]" if note else ""
+    return (
+        f"theorem {theorem:<4} n={int_str(n):<4} {variant:<14}"
+        f" {status:<14}{decided}{expected} {terms}{flag}{note}"
+    )
 
 
 # The identity template of each format.  `_identity_<format>(identity,
@@ -270,15 +260,7 @@ _JSON_ROW = {
 # the entry's row formatter, `row(n, k, verdict, lhs, rhs, note)`, the
 # sides already text.  The renderers pass n and k as ints, which str()
 # writes: the catalog's indices are far below any int-to-str digit limit,
-# since a window of J reaching twice as far is built first.  A payload's n
-# and k are passed as the text `int_str` writes, so an `identity_row` of
-# any size is written in full.
-
-
-def _identity_fields(p: dict) -> tuple:
-    """The row formatter's arguments from an identity payload."""
-    n, k = int_str(p["n"]), p["k"] if p["k"] is None else int_str(p["k"])
-    return n, k, p["verdict"], p["lhs"], p["rhs"], p["note"]
+# since a window of J reaching twice as far is built first.
 
 
 def _identity_json(identity: str, relation: str) -> Callable[..., str]:
@@ -321,6 +303,18 @@ def _identity_payload(identity: str, relation: str) -> Callable[..., ReportRow]:
     return row
 
 
+def _by_payload(template: Callable) -> Callable:
+    """The formatter of an identity payload's values through `template`, n
+    and k as the text `int_str` writes, so an `identity_row` of any size is
+    written in full."""
+
+    def row(identity, n, k, verdict, relation, lhs, rhs, note):
+        k = None if k is None else int_str(k)
+        return template(identity, relation)(int_str(n), k, verdict, lhs, rhs, note)
+
+    return row
+
+
 def _identity_renderer(template: Callable) -> Callable:
     """A renderer for `identities._catalog`, called once per catalog entry:
     it yields (verdict, row) for each of the entry's side tuples (n, k,
@@ -341,19 +335,11 @@ def _identity_renderer(template: Callable) -> Callable:
 
 _identity_payloads = _identity_renderer(_identity_payload)
 
-# per format, the renderer of the CLI's identity report: the writer of the
-# format writes what it yields as it is
-_IDENTITY_RENDERERS = {
-    "json": _identity_renderer(_identity_json),
-    "csv": _identity_renderer(_identity_csv),
-    "plain": _identity_renderer(_identity_plain),
-}
-
 
 # Each writer takes (status, item) pairs: the row's status and the row as
-# the writer writes it, a JSON object's text, a CSV record's cells or a
-# plain line.  It returns the set of statuses it wrote, gathered in the
-# loop that writes the rows: `write_report` works out the exit code from it.
+# its format's formatter made it.  It returns the set of statuses it wrote,
+# gathered in the loop that writes the rows: `write_report` works out the
+# exit code from it.
 
 
 def _write_json(items: Iterable[tuple], kind: str, out: TextIO) -> set:
@@ -385,20 +371,21 @@ def _write_plain(items: Iterable[tuple], kind: str, out: TextIO) -> set:
     return seen
 
 
-# per format, its writer and the item it writes for a `ReportRow`
-_WRITERS = {
-    "json": (_write_json, lambda row: _JSON_ROW[row.kind](row.payload)),
-    "csv": (_write_csv, _flatten_for_csv),
-    "plain": (_write_plain, _plain_line),
+# per format: its writer, its formatter of each row kind and, for the CLI's
+# identity sweep, its identity template
+_FORMATS = {
+    fmt: (write, {"sequence": sequence, "identity": _by_payload(identity), "sum": sums,
+                  "verdict": verdict}, identity)
+    for fmt, write, sequence, identity, sums, verdict in (
+        ("json", _write_json, _sequence_json, _identity_json, _sum_json, _verdict_json),
+        ("csv", _write_csv, _sequence_csv, _identity_csv, _sum_csv, _verdict_csv),
+        ("plain", _write_plain, _sequence_plain, _identity_plain, _sum_plain, _verdict_plain),
+    )
 }
 
-
-def _items(rows: Iterable, kind: str, item: Callable) -> Iterator[tuple]:
-    """(status, item) for each row: a `ReportRow` is made into its item here,
-    and a pair that an identity renderer made passes as it is."""
-    key = "verdict" if kind == "identity" else "status"
-    for row in rows:
-        yield (row.payload.get(key), item(row)) if type(row) is ReportRow else row
+# per format, the renderer of the CLI's identity report: the writer of the
+# format writes what it yields as it is
+_IDENTITY_RENDERERS = {fmt: _identity_renderer(t) for fmt, (_, _, t) in _FORMATS.items()}
 
 
 def write_report(rows: Iterable, fmt: str, kind: str, out: TextIO) -> int:
@@ -414,10 +401,16 @@ def write_report(rows: Iterable, fmt: str, kind: str, out: TextIO) -> int:
     verdict or sum is undecided, else EXIT_OK.
     """
     try:
-        write, item = _WRITERS[fmt]
+        write, formatters, _ = _FORMATS[fmt]
     except KeyError:
         raise ValueError(f"unknown format {fmt!r}") from None
-    seen = write(_items(rows, kind, item), kind, out)
+    # (status, item) per row: a `ReportRow` is made into its item here, and a
+    # pair that an identity renderer made passes as it is
+    key = "verdict" if kind == "identity" else "status"
+    items = (row if type(row) is not ReportRow
+             else (row.payload.get(key), formatters[row.kind](*row.payload.values()))
+             for row in rows)
+    seen = write(items, kind, out)
     if not seen.isdisjoint(("refuted", "fails")):
         return EXIT_REFUTED
     return EXIT_UNDECIDED if "undecided" in seen else EXIT_OK

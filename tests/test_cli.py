@@ -469,7 +469,8 @@ def test_verify_prints_endpoints_beyond_default_digit_limit(capsys):
     code, out, _ = run(capsys, "verify", "--theorem", "3.3", "--from", "3600", "--to", "3600",
                        "--format", "json")
     assert code == 0
-    [row] = json.loads(out)
+    # Decimal reads the bare 2,167-digit `expected` whatever the int-to-str digit limit
+    [row] = json.loads(out, parse_int=Decimal)
     assert row["status"] == "verified"
     assert len(row["enclosure"]["lo"].split("/")[1]) > 4300
 

@@ -22,10 +22,7 @@ from jacsum.report import (
     EXIT_REFUTED,
     EXIT_UNDECIDED,
     CSV_HEADERS,
-    _JSON_ROW,
-    _flatten_for_csv,
     _parse_rat,
-    _plain_line,
     emit_report,
     identity_row,
     sequence_row,
@@ -38,6 +35,21 @@ from jacsum.report import (
 FORMATS = ("json", "csv", "plain")
 
 
+def _csv_record(row) -> list[str]:
+    """The row's CSV cells, read off its payload by the CSV_HEADERS columns:
+    the enclosure flattened to lo, hi and terms, None as the empty cell."""
+    fields = {"kind": row.kind, **row.payload, **(row.payload.get("enclosure") or {})}
+
+    def cell(value) -> str:
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return int_str(value) if type(value) is int else str(value)
+
+    return [cell(fields.get(col)) for col in CSV_HEADERS[row.kind]]
+
+
 def _reference(rows, fmt, kind) -> str:
     """The report as the renderer before streaming built it: whole, in memory."""
     rows = sort_rows(rows)
@@ -48,10 +60,11 @@ def _reference(rows, fmt, kind) -> str:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_HEADERS[kind])
         for row in rows:
-            writer.writerow(_flatten_for_csv(row))
+            writer.writerow(_csv_record(row))
         return buf.getvalue()
-    lines = [_plain_line(row) for row in rows]
-    return "".join(line + "\n" for line in lines) if lines else "(no rows)\n"
+    # a plain report is its rows' one-row reports, one after the other
+    lines = [emit_report([row], "plain", kind) for row in rows]
+    return "".join(lines) if lines else "(no rows)\n"
 
 
 def _rows_by_kind() -> dict:
@@ -143,12 +156,12 @@ def _edge_rows() -> list:
 @pytest.mark.parametrize("kind", sorted(ROWS))
 def test_json_templates_write_what_json_dumps_writes(kind):
     rows = [*ROWS[kind], *(row for row in _edge_rows() if row.kind == kind)]
-    assert sorted(_JSON_ROW) == sorted(ROWS)
+    assert sorted(CSV_HEADERS) == sorted(ROWS)
     for row in rows:
-        text = _JSON_ROW[kind](row.payload)
-        assert text == json.dumps(row.payload, separators=(",", ":"))
+        text = emit_report([row], "json", kind)
+        assert text == "[" + json.dumps(row.payload, separators=(",", ":")) + "]\n"
         # the same keys in the same order: a key added to a payload cannot go missing
-        back = json.loads(text)
+        (back,) = json.loads(text)
         assert list(back) == list(row.payload)
         if row.payload.get("enclosure") is not None:
             assert list(back["enclosure"]) == list(row.payload["enclosure"])
@@ -169,11 +182,11 @@ def test_json_template_writes_a_decided_beyond_the_digit_limit():
     row = verdict_row(Verdict("3.1", 4, Status.VERIFIED, "proof-implied", decided=big,
                               expected=2))
     with _default_digit_limit():
-        text = _JSON_ROW["verdict"](row.payload)
+        text = emit_report([row], "json", "verdict")
     digits = int_str(big)
     assert len(digits) > 4300 and text.count(digits) == 1
-    assert text.replace(digits, "0") == json.dumps({**row.payload, "decided": 0},
-                                                   separators=(",", ":"))
+    assert text.replace(digits, "0") == "[" + json.dumps({**row.payload, "decided": 0},
+                                                         separators=(",", ":")) + "]\n"
 
 
 def test_writer_exit_code_in_the_same_pass():
@@ -229,8 +242,18 @@ def _default_digit_limit():
 def test_sequence_row_beyond_the_digit_limit(fmt):
     # J(20000) has 6020 digits, above the default limit of 4300
     value = jacobsthal(20000)
+    big = 10**5000
+    # an index beyond the limit, in a sequence row and in a verdict row
+    cases = [(lambda n: sequence_row(n, 2, 1), "sequence"),
+             (lambda n: verdict_row(Verdict("3.1", n, Status.UNDECIDED)), "verdict")]
     with _default_digit_limit():
         text = emit_report([sequence_row(20000, 2, value)], fmt, "sequence")
+        beyond = [emit_report([make(big)], fmt, kind) for make, kind in cases]
+    digits = int_str(big)
+    for (make, kind), report in zip(cases, beyond):
+        # the report of a four-digit index, with that index's digits in full
+        assert report.count(digits) == 1
+        assert report.replace(digits, "1234") == emit_report([make(1234)], fmt, kind)
     if fmt == "json":
         (row,) = json.loads(text)
         written = row["value"]
