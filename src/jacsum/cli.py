@@ -18,9 +18,10 @@ byte-identical reports.
 Every report is streamed: each command checks its arguments, then hands
 its rows, in report order, to `report.write_report`, which writes each row
 to stdout as it is made and works out the exit code on the way.  A usage
-error therefore prints nothing to stdout.  `identities` and `seq` make
-their rows lazily, so the memory of an `identities` sweep does not grow
-with its row count.  `identities` hands the sweep the report module's
+error therefore prints nothing to stdout.  `seq`, `poly` and
+`identities` make their rows lazily, so the memory of a report does not
+grow with its row count.  `seq` is `poly` at x = 2: both write the rows
+of `_poly_rows`.  `identities` hands the sweep the report module's
 identity renderer for the chosen format, made from the identity template
 that also writes an identity `ReportRow` in that format: each row arrives
 as a (verdict, item) pair, the item the row as that format's writer
@@ -51,7 +52,7 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from .identities import _catalog
-from .intervals import _INTEGER, _shown
+from .intervals import _EXACT, _INTEGER, _shown
 from .report import (
     ReportRow,
     _IDENTITY_RENDERERS,
@@ -60,7 +61,7 @@ from .report import (
     verdict_row,
     write_report,
 )
-from .sequence import jacobsthal_range
+from .sequence import jacobsthal
 from .series import SeriesFamily, SeriesSpec, _within, enclose_sum
 from .theorems import THEOREM_IDS, verify_range
 
@@ -75,9 +76,10 @@ EXIT_BROKEN_PIPE = 141
 # unchecked exponent such as 1e-999999999999 would never finish.
 MAX_WIDTH_EXPONENT = 100_000
 
-# Largest `seq --from`/`--to` and `poly --from`/`--to`.  `seq` holds
-# J(0..to) before it prints, about to^2/2 bits: some 60 MB at this bound,
-# 60 GB at 10^6.
+# Largest `seq --from`/`--to` and `poly --from`/`--to`.  Both hold two
+# values at a time, so the bound limits the report's size and time, not
+# memory: the JSON report of `seq --to` this bound is 136 MB, and it grows
+# as to^2.
 MAX_SEQ_INDEX = 30_000
 # Largest `identities --to` and `--cassini-max`.  The sweep holds one window
 # of J up to about twice the larger one while it runs, about 2 * to^2 bits,
@@ -161,28 +163,20 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="jacsum", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_format(p):
-        p.add_argument("--format", choices=("json", "csv", "plain"), default="plain")
-
-    p = sub.add_parser("seq", help="Jacobsthal numbers J(from)..J(to)")
-    p.add_argument("--from", dest="lo", type=_at_most(MAX_SEQ_INDEX), default=0)
-    p.add_argument("--to", dest="hi", type=_at_most(MAX_SEQ_INDEX), required=True,
-                   help=f"last index, at most {MAX_SEQ_INDEX}")
-    add_format(p)
-
-    p = sub.add_parser("poly", help="Jacobsthal polynomial values at integer x")
-    p.add_argument("--x", type=_integer, required=True)
-    p.add_argument("--from", dest="lo", type=_at_most(MAX_SEQ_INDEX), default=0)
-    p.add_argument("--to", dest="hi", type=_at_most(MAX_SEQ_INDEX), required=True,
-                   help=f"last index, at most {MAX_SEQ_INDEX}")
-    add_format(p)
+    seq = sub.add_parser("seq", help="Jacobsthal numbers J(from)..J(to)")
+    seq.set_defaults(x=2)
+    poly = sub.add_parser("poly", help="Jacobsthal polynomial values at integer x")
+    poly.add_argument("--x", type=_integer, required=True)
+    for p in (seq, poly):
+        p.add_argument("--from", dest="lo", type=_at_most(MAX_SEQ_INDEX), default=0)
+        p.add_argument("--to", dest="hi", type=_at_most(MAX_SEQ_INDEX), required=True,
+                       help=f"last index, at most {MAX_SEQ_INDEX}")
 
     p = sub.add_parser("identities", help="exact identity sweep")
     p.add_argument("--to", type=_at_most(MAX_IDENTITY_INDEX), default=64,
                    help=f"sweep n = 1..TO, TO at most {MAX_IDENTITY_INDEX}")
     p.add_argument("--cassini-max", type=_at_most(MAX_IDENTITY_INDEX), default=32,
                    help=f"Cassini offsets over 1 <= k <= n <= M, M at most {MAX_IDENTITY_INDEX}")
-    add_format(p)
 
     p = sub.add_parser("sum", help="rigorous enclosure of one series")
     p.add_argument("--family", required=True,
@@ -193,7 +187,6 @@ def _build_parser() -> _Parser:
                    help="finite decimal width goal, parsed exactly, exponent at most "
                         f"{MAX_WIDTH_EXPONENT} in magnitude (default 1e-12)")
     p.add_argument("--max-terms", type=_positive_int, default=None)
-    add_format(p)
 
     p = sub.add_parser("verify", help="theorem verdicts over an index range")
     p.add_argument("--theorem", required=True, choices=THEOREM_IDS)
@@ -204,8 +197,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--variant", choices=("default", "stated", "proof-implied", "both"),
                    default="default")
     p.add_argument("--max-terms", type=_positive_int, default=None)
-    add_format(p)
 
+    for p in sub.choices.values():  # every command's last option
+        p.add_argument("--format", choices=("json", "csv", "plain"), default="plain")
     return parser
 
 
@@ -241,10 +235,7 @@ def _report_rows(args: argparse.Namespace) -> tuple[Iterable[ReportRow | tuple],
     checked here, before any row is written; the rows of `seq`, `poly` and
     `identities` are made lazily, as they are written.
     """
-    if args.command == "seq":
-        values = jacobsthal_range(args.lo, args.hi)
-        return (sequence_row(n, 2, v) for n, v in enumerate(values, start=args.lo)), "sequence"
-    if args.command == "poly":
+    if args.command in ("seq", "poly"):
         if not 0 <= args.lo <= args.hi:
             raise ValueError(f"need 0 <= from <= to, got {args.lo}..{args.hi}")
         bits = max(2, args.x.bit_length())
@@ -277,17 +268,25 @@ def _report_rows(args: argparse.Namespace) -> tuple[Iterable[ReportRow | tuple],
 
 def _poly_rows(x: int, lo: int, hi: int) -> Iterator[ReportRow]:
     """Rows of the Jacobsthal polynomial at x for lo <= n <= hi, made
-    lazily from one pass of its recurrence.
+    lazily from one pass of its recurrence in exact `decimal`, whose text
+    costs time linear in its length.
 
-    P(n) has about (n/2)*log2|x| bits, so `_report_rows` bounds hi by
+    The pass starts at lo from the exact integers P(lo) and P(lo+1): from
+    the closed form at x = 2, else from the integer recurrence.  P(n) has
+    about (n/2)*log2|x| bits, so `_report_rows` bounds hi by
     hi * max(2, bit length of |x|) <= 2 * MAX_SEQ_INDEX: every |x| <= 3
     keeps --to MAX_SEQ_INDEX, and no report outgrows that of x = 3.
     """
-    a, b = 0, 1  # P(n), P(n+1) at n = 0
-    for n in range(hi + 1):
-        if n >= lo:
-            yield sequence_row(n, x, a)
-        a, b = b, b + x * a
+    if x == 2:
+        a, b = jacobsthal(lo), jacobsthal(lo + 1)
+    else:
+        a, b = 0, 1  # P(n), P(n+1) at n = 0
+        for _ in range(lo):
+            a, b = b, b + x * a
+    a, b, factor = Decimal(a), Decimal(b), Decimal(x)
+    for n in range(lo, hi + 1):
+        yield sequence_row(n, x, str(a))
+        a, b = b, _EXACT.fma(factor, a, b)
 
 
 if __name__ == "__main__":

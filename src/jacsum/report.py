@@ -108,8 +108,10 @@ def sort_rows(rows: list[ReportRow]) -> list[ReportRow]:
     return sorted(rows, key=_sort_key)
 
 
-def sequence_row(n: int, x: int, value: int) -> ReportRow:
-    return ReportRow("sequence", {"n": n, "x": x, "value": rat_str(value)})
+def sequence_row(n: int, x: int, value: int | str) -> ReportRow:
+    """A sequence row; `value` is an integer or its decimal text."""
+    text = value if type(value) is str else rat_str(value)
+    return ReportRow("sequence", {"n": n, "x": x, "value": text})
 
 
 def identity_row(res: IdentityResult) -> ReportRow:

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -14,13 +15,13 @@ import pytest
 
 from jacsum import (
     SeriesFamily, SeriesSpec, Status, Verdict, enclose_sum, enclosures,
-    jacobsthal_closed_form,
+    jacobsthal_closed_form, jacobsthal_poly, jacobsthal_range,
 )
 from jacsum import cli, identities, identity_sweep
 from jacsum.cli import main
 from jacsum.report import emit_report, identity_row, sum_row, verdict_row
 from jacsum.series import Enclosure
-from jacsum.intervals import RatInterval, int_str
+from jacsum.intervals import RatInterval, int_str, rat_str
 from jacsum.identities import check_lemma_1_5
 
 F = Fraction
@@ -54,6 +55,34 @@ def test_poly_fibonacci_row(capsys):
                        "--format", "json")
     assert code == 0
     assert json.loads(out) == [{"n": 5, "x": 1, "value": "5"}]
+
+
+_INTEGER_TEXT = re.compile(r"0|-?[1-9][0-9]*")  # no "-0", no exponent, no leading zero
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 40), (7, 4300), (4250, 4300)])
+@pytest.mark.parametrize("x", range(-3, 4))
+def test_seq_and_poly_text_equals_the_integer_reference(capsys, x, lo, hi):
+    # the CLI runs the recurrence in exact decimal; the library's int values
+    # are the reference, past 640 digits for every |x| >= 2 and x = 1
+    window = ["--from", str(lo), "--to", str(hi), "--format", "csv"]
+    code, out, err = run(capsys, "poly", "--x", str(x), *window)
+    assert (code, err) == (0, "")
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [r[:3] for r in rows] == [["sequence", str(n), str(x)] for n in range(lo, hi + 1)]
+    texts = [r[3] for r in rows]
+    assert all(_INTEGER_TEXT.fullmatch(t) for t in texts)
+    if hi == 4300 and x not in (-1, 0):
+        assert max(map(len, texts)) > 640
+    if x == 2:
+        assert run(capsys, "seq", *window) == (0, out, "")
+        assert texts == [rat_str(v) for v in jacobsthal_range(lo, hi)]
+    # P(n) one index at a time costs O(n) each: every row of a short window,
+    # else its first and last rows and every 100th index between
+    indices = range(lo, hi + 1)
+    if hi - lo > 50:
+        indices = sorted({*indices[:20], *indices[-20:], *indices[::100]})
+    assert [texts[n - lo] for n in indices] == [rat_str(jacobsthal_poly(n, x)) for n in indices]
 
 
 def test_identities_sweep_exit_zero(capsys):
@@ -210,7 +239,7 @@ def test_oversized_indices_are_rejected_while_parsing(capsys, monkeypatch, argv,
     def no_rows(*args):
         raise AssertionError(f"rows built for {argv}")
 
-    for name in ("jacobsthal_range", "_poly_rows", "_catalog"):
+    for name in ("_poly_rows", "_catalog"):
         monkeypatch.setattr(cli, name, no_rows)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (64, "")
@@ -375,6 +404,21 @@ def test_identities_report_streams_in_bounded_memory():
     assert code == 0
     assert sink.chars > 3_000_000  # ASCII JSON: one byte per character
     assert peak < sink.chars / 4
+
+
+def test_seq_report_streams_in_bounded_memory():
+    # one value at a time: the peak follows the longest value, not the report
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(["seq", "--to", "8000", "--format", "json"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.chars > 9_000_000
+    assert peak < sink.chars / 8
 
 
 def test_verdict_json_schema_instance():
