@@ -24,8 +24,8 @@ grow with its row count.  `seq` is `poly` at x = 2: both write the rows
 of `_poly_rows`.  `identities` hands the sweep the report module's
 identity renderer for the chosen format, made from the identity template
 that also writes an identity `ReportRow` in that format: each row arrives
-as a (verdict, item) pair, the item the row as that format's writer
-writes it, made from the row's values without a `ReportRow`.
+as a (verdict, text) pair, the text the row in that format, made from the
+row's values without a `ReportRow`.
 
 Arguments whose size alone would exhaust memory or time are rejected
 with exit 64 before any row is made: `seq --from`/`--to` and

@@ -7,18 +7,19 @@ floating point ever reaches JSON or CSV.  Every integer is written in full
 through `intervals.int_str`, whatever the interpreter's int-to-str digit
 limit, so a report is the same from the library as from the CLI.
 
-One table, `_FORMATS`, holds per format its writer and one formatter per
+One table, `_FORMATS`, holds per format its frame and one formatter per
 row kind.  A formatter takes a row's values in its payload's key order and
-returns the row as its writer writes it: a JSON object's text, a CSV
-record's cells (the CSV_HEADERS columns) or a plain line.  A `ReportRow`
-is written as `formatters[row.kind](*row.payload.values())`.  A JSON
+returns the row's text: a JSON object, or a CSV record (the CSV_HEADERS
+columns) or a plain line, either ending in its "\n".  A `ReportRow` is
+written as `formatters[row.kind](*row.payload.values())`.  A JSON
 formatter writes, key for key, what `json.dumps(row.payload,
-separators=(",", ":"))` writes.  Rational text (digits, "-" and "/", from
-`rat_str`, or from `Enclosure.as_payload`, which writes an endpoint's
-integers as `rat_str` would write its value) and the closed status and
-family values need no escaping and go between the quotes as they are; only
-free text (identity, theorem and variant names, relations, notes) goes
-through the `json` string encoder.
+separators=(",", ":"))` writes; a CSV formatter, what
+`csv.writer(lineterminator="\n")` writes.  Rational text (digits, "-" and
+"/", from `rat_str`, or from `Enclosure.as_payload`, which writes an
+endpoint's integers as `rat_str` would write its value), integers, and
+the closed status and family values need no escaping and are written as
+they are; only free text (identity, theorem and variant names, relations,
+notes) is escaped, through `_json_str` or `_csv_str`.
 
 The identity formatters are entry templates, `_identity_<format>(identity,
 relation)`, which make the constant text of one catalog entry once and
@@ -29,20 +30,21 @@ from the same templates: it turns each side tuple straight into the row's
 text, which the writer writes as it is, so no `ReportRow` or payload is
 made per row.  `identity_row` is that renderer with a payload template.
 
-`write_report` is the one writer.  It takes rows already in report order,
-from any iterable, and writes each row to the output as soon as it is
-made, so a report never has to be held in memory whole.  The writer of
-each format gathers the rows' statuses in the loop that writes them, and
-`write_report` works out the exit code from them.  `emit_report` sorts a
-list of rows and returns the report as a string.
+`write_report` is the one writer, one loop for every format.  It takes
+rows already in report order, from any iterable, and writes each row to
+the output as soon as it is made, so a report never has to be held in
+memory whole; the format's frame gives the text around and between the
+rows.  It gathers the rows' statuses in the same loop and works out the
+exit code from them.  `emit_report` sorts a list of rows and returns the
+report as a string.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
+import re
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from decimal import Decimal
@@ -115,7 +117,7 @@ def sequence_row(n: int, x: int, value: int | str) -> ReportRow:
 
 
 def identity_row(res: IdentityResult) -> ReportRow:
-    ((_, row),) = _identity_payloads(
+    ((_, row),) = _identity_renderer(_identity_payload)(
         res.identity, res.relation, res.applicable,
         ((res.n, res.k, res.holds, res.lhs, res.rhs, res.note),),
     )
@@ -176,6 +178,16 @@ def _parse_rat(text: str) -> Fraction:
 # a str as a JSON string literal: the C function JSONEncoder().encode calls
 _json_str = json.encoder.encode_basestring_ascii
 
+# the characters that make `_csv_str` quote a cell
+_csv_special = re.compile('[,"\n\r]').search
+
+
+def _csv_str(text: str) -> str:
+    """A str as a CSV cell: quoted, its quotes doubled, when it holds a
+    comma, a quote or a line break, as `csv.writer` quotes it; a lone "\r",
+    which `csv.writer(lineterminator="\n")` may leave bare, is quoted too."""
+    return '"' + text.replace('"', '""') + '"' if _csv_special(text) else text
+
 
 def _int_text(value: int | None, none: str) -> str:
     """An optional integer's text: `int_str` of it, or `none` for None."""
@@ -188,8 +200,8 @@ def _enclosure_json(enc: dict | None) -> str:
     return f'{{"lo":"{enc["lo"]}","hi":"{enc["hi"]}","terms":{int_str(enc["terms"])}}}'
 
 
-def _enclosure_cells(enc: dict | None) -> tuple:
-    return ("", "", "") if enc is None else (enc["lo"], enc["hi"], int_str(enc["terms"]))
+def _enclosure_csv(enc: dict | None) -> str:
+    return ",," if enc is None else f'{enc["lo"]},{enc["hi"]},{int_str(enc["terms"])}'
 
 
 # The formatters of each row kind, fed the payload's values in key order.
@@ -199,13 +211,13 @@ def _sequence_json(n, x, value) -> str:
     return f'{{"n":{int_str(n)},"x":{int_str(x)},"value":"{value}"}}'
 
 
-def _sequence_csv(n, x, value) -> tuple:
-    return "sequence", int_str(n), int_str(x), value
+def _sequence_csv(n, x, value) -> str:
+    return f"sequence,{int_str(n)},{int_str(x)},{value}\n"
 
 
 def _sequence_plain(n, x, value) -> str:
     label = f"J({int_str(n)})" if x == 2 else f"P({int_str(n)}; x={int_str(x)})"
-    return f"{label} = {value}"
+    return f"{label} = {value}\n"
 
 
 def _sum_json(family, start, status, enclosure, width) -> str:
@@ -215,18 +227,18 @@ def _sum_json(family, start, status, enclosure, width) -> str:
     )
 
 
-def _sum_csv(family, start, status, enclosure, width) -> tuple:
-    return "sum", family, int_str(start), status, *_enclosure_cells(enclosure), width
+def _sum_csv(family, start, status, enclosure, width) -> str:
+    return f"sum,{family},{int_str(start)},{status},{_enclosure_csv(enclosure)},{width}\n"
 
 
 def _sum_plain(family, start, status, enc, width) -> str:
     head = f"{family} from k={int_str(start)}:"
     if enc is None:
-        return f"{head} {status} (no enclosure in budget)"
+        return f"{head} {status} (no enclosure in budget)\n"
     mid = (_parse_rat(enc["lo"]) + _parse_rat(enc["hi"])) / 2
     return (
         f"{head} [{enc['lo']}, {enc['hi']}] ~ {_approx_decimal(mid)}"
-        f" (terms to {enc['terms']}, {status})"
+        f" (terms to {enc['terms']}, {status})\n"
     )
 
 
@@ -240,9 +252,9 @@ def _verdict_json(theorem, variant, n, status, decided, expected, enc, discrepan
 
 
 def _verdict_csv(theorem, variant, n, status, decided, expected, enc, discrepancy, note):
-    return ("verdict", theorem, variant, int_str(n), status, _int_text(decided, ""),
-            _int_text(expected, ""), *_enclosure_cells(enc), "true" if discrepancy else "false",
-            note)
+    return (f"verdict,{_csv_str(theorem)},{_csv_str(variant)},{int_str(n)},{status},"
+            f"{_int_text(decided, '')},{_int_text(expected, '')},{_enclosure_csv(enc)},"
+            f"{'true' if discrepancy else 'false'},{_csv_str(note)}\n")
 
 
 def _verdict_plain(theorem, variant, n, status, decided, expected, enc, discrepancy, note):
@@ -253,7 +265,7 @@ def _verdict_plain(theorem, variant, n, status, decided, expected, enc, discrepa
     note = f"  [{note}]" if note else ""
     return (
         f"theorem {theorem:<4} n={int_str(n):<4} {variant:<14}"
-        f" {status:<14}{decided}{expected} {terms}{flag}{note}"
+        f" {status:<14}{decided}{expected} {terms}{flag}{note}\n"
     )
 
 
@@ -277,9 +289,12 @@ def _identity_json(identity: str, relation: str) -> Callable[..., str]:
     return row
 
 
-def _identity_csv(identity: str, relation: str) -> Callable[..., tuple]:
+def _identity_csv(identity: str, relation: str) -> Callable[..., str]:
+    head, mid = f"identity,{_csv_str(identity)},", f",{_csv_str(relation)},"
+
     def row(n, k, verdict, lhs, rhs, note):
-        return ("identity", identity, n, k, verdict, relation, lhs, rhs, note)
+        k = "" if k is None else k
+        return f"{head}{n},{k},{verdict}{mid}{lhs},{rhs},{_csv_str(note)}\n"
 
     return row
 
@@ -290,7 +305,7 @@ def _identity_plain(identity: str, relation: str) -> Callable[..., str]:
     def row(n, k, verdict, lhs, rhs, note):
         where = f"n={n}" if k is None else f"n={n}, k={k}"
         note = f"  [{note}]" if note else ""
-        return f"{head}{where:<14} {verdict:<14} {lhs}{mid}{rhs}{note}"
+        return f"{head}{where:<14} {verdict:<14} {lhs}{mid}{rhs}{note}\n"
 
     return row
 
@@ -335,53 +350,19 @@ def _identity_renderer(template: Callable) -> Callable:
     return render
 
 
-_identity_payloads = _identity_renderer(_identity_payload)
-
-
-# Each writer takes (status, item) pairs: the row's status and the row as
-# its format's formatter made it.  It returns the set of statuses it wrote,
-# gathered in the loop that writes the rows: `write_report` works out the
-# exit code from it.
-
-
-def _write_json(items: Iterable[tuple], kind: str, out: TextIO) -> set:
-    write, seen, sep = out.write, set(), "["
-    for status, text in items:
-        seen.add(status)
-        write(sep + text)
-        sep = ","
-    write("[]\n" if sep == "[" else "]\n")
-    return seen
-
-
-def _write_csv(items: Iterable[tuple], kind: str, out: TextIO) -> set:
-    writer, seen = csv.writer(out, lineterminator="\n"), set()
-    writer.writerow(CSV_HEADERS[kind])
-    for status, cells in items:
-        seen.add(status)
-        writer.writerow(cells)
-    return seen
-
-
-def _write_plain(items: Iterable[tuple], kind: str, out: TextIO) -> set:
-    write, seen = out.write, set()
-    for status, line in items:
-        seen.add(status)
-        write(line + "\n")
-    if not seen:
-        write("(no rows)\n")
-    return seen
-
-
-# per format: its writer, its formatter of each row kind and, for the CLI's
-# identity sweep, its identity template
+# per format: its frame (the text before the first row, between rows, after
+# the last row and of an empty report; a CSV report starts with its header
+# line), its formatter of each row kind and, for the CLI's identity sweep,
+# its identity template
 _FORMATS = {
-    fmt: (write, {"sequence": sequence, "identity": _by_payload(identity), "sum": sums,
+    fmt: (frame, {"sequence": sequence, "identity": _by_payload(identity), "sum": sums,
                   "verdict": verdict}, identity)
-    for fmt, write, sequence, identity, sums, verdict in (
-        ("json", _write_json, _sequence_json, _identity_json, _sum_json, _verdict_json),
-        ("csv", _write_csv, _sequence_csv, _identity_csv, _sum_csv, _verdict_csv),
-        ("plain", _write_plain, _sequence_plain, _identity_plain, _sum_plain, _verdict_plain),
+    for fmt, frame, sequence, identity, sums, verdict in (
+        ("json", ("[", ",", "]\n", "[]\n"), _sequence_json, _identity_json, _sum_json,
+         _verdict_json),
+        ("csv", ("", "", "", ""), _sequence_csv, _identity_csv, _sum_csv, _verdict_csv),
+        ("plain", ("", "", "", "(no rows)\n"), _sequence_plain, _identity_plain, _sum_plain,
+         _verdict_plain),
     )
 }
 
@@ -393,7 +374,7 @@ _IDENTITY_RENDERERS = {fmt: _identity_renderer(t) for fmt, (_, _, t) in _FORMATS
 def write_report(rows: Iterable, fmt: str, kind: str, out: TextIO) -> int:
     """Write rows, already in report order, to `out` in one of json/csv/plain.
 
-    Each row is a `ReportRow` or, in an identity report, a (verdict, item)
+    Each row is a `ReportRow` or, in an identity report, a (verdict, text)
     pair that `_IDENTITY_RENDERERS[fmt]` made.  Each row is written as soon
     as `rows` yields it and nothing keeps it afterwards, so a generator of
     rows is written in constant memory.  `kind` fixes the CSV header even
@@ -403,16 +384,21 @@ def write_report(rows: Iterable, fmt: str, kind: str, out: TextIO) -> int:
     verdict or sum is undecided, else EXIT_OK.
     """
     try:
-        write, formatters, _ = _FORMATS[fmt]
+        (before, between, after, empty), formatters, _ = _FORMATS[fmt]
     except KeyError:
         raise ValueError(f"unknown format {fmt!r}") from None
-    # (status, item) per row: a `ReportRow` is made into its item here, and a
-    # pair that an identity renderer made passes as it is
+    head = ",".join(CSV_HEADERS[kind]) + "\n" if fmt == "csv" else ""
     key = "verdict" if kind == "identity" else "status"
-    items = (row if type(row) is not ReportRow
-             else (row.payload.get(key), formatters[row.kind](*row.payload.values()))
-             for row in rows)
-    seen = write(items, kind, out)
+    write, seen, sep = out.write, set(), head + before
+    for row in rows:
+        # a `ReportRow` is made into its text here; a (verdict, text) pair
+        # that an identity renderer made is written as it is
+        status, text = row if type(row) is not ReportRow else (
+            row.payload.get(key), formatters[row.kind](*row.payload.values()))
+        seen.add(status)
+        write(sep + text)
+        sep = between
+    write(after if seen else head + empty)
     if not seen.isdisjoint(("refuted", "fails")):
         return EXIT_REFUTED
     return EXIT_UNDECIDED if "undecided" in seen else EXIT_OK

@@ -1,6 +1,8 @@
 """The package API: each public name is listed once, in its own module."""
 
 import importlib
+import subprocess
+import sys
 
 import pytest
 
@@ -35,3 +37,16 @@ def test_package_republishes_each_modules_public_names(name):
 def test_package_keeps_every_earlier_public_name():
     missing = [attr for attr in EARLIER_API if not hasattr(jacsum, attr)]
     assert missing == []
+
+
+def test_cli_imports_only_the_standard_library():
+    # a fresh interpreter: what importing the CLI adds to sys.modules, so
+    # modules that site's .pth files import at start-up are left out
+    code = ("import sys; before = set(sys.modules); import jacsum.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    added = out.stdout.split()
+    assert "jacsum.cli" in added
+    foreign = [name for name in added
+               if name.partition(".")[0] not in {*sys.stdlib_module_names, "jacsum"}]
+    assert foreign == []

@@ -80,9 +80,18 @@ def _rows_by_kind() -> dict:
         for th in ("2.2", "3.1", "3.3")
         for v in verify_range(th, 1, 9, variant="both", max_terms=9)
     ]
+    # free text for the CSV quoting: a comma, a quote or a new line is quoted, non-ASCII not
+    quoted = [",", '"', 'a "b", c', "two\nlines", "caf\u00e9, \u2264"]
+    verdicts += [verdict_row(Verdict(f"3.{i}{text}", i, Status.VERIFIED, f"stated{text}",
+                                     note=text))
+                 for i, text in enumerate(quoted)]
+    identities = [identity_row(r) for r in identity_sweep(9, 5)]
+    identities += [identity_row(IdentityResult(f"lemma{text}", i, True, 1, 1, f"=={text}",
+                                               note=text))
+                   for i, text in enumerate(quoted)]
     return {
         "sequence": [sequence_row(n, 2 + n % 3, 10**n - n) for n in range(12)],
-        "identity": [identity_row(r) for r in identity_sweep(9, 5)],
+        "identity": identities,
         "sum": sums,
         "verdict": verdicts,
     }
@@ -115,6 +124,21 @@ def test_writer_empty_reports(kind):
     assert _write(iter(()), "plain", kind) == ("(no rows)\n", EXIT_OK)
     for fmt in FORMATS:
         assert _write([], fmt, kind)[0] == _reference([], fmt, kind)
+
+
+def test_csv_cells_holding_a_carriage_return_read_back_as_one_record():
+    # csv.writer(lineterminator="\n") may leave a lone "\r" bare, which a
+    # reader takes for the end of the record
+    rows = [
+        (verdict_row(Verdict("3.1", 4, Status.REFUTED, note="a\rb")), "verdict"),
+        (identity_row(IdentityResult("lemma1.1", 2, True, 1, 1, "<=\r", note="\rc\r")),
+         "identity"),
+    ]
+    for row, kind in rows:
+        text = emit_report([row], "csv", kind)
+        header, record = csv.reader(io.StringIO(text, newline=""))
+        assert header == CSV_HEADERS[kind]
+        assert record == _csv_record(row)
 
 
 def test_writer_rejects_unknown_format_before_writing():
