@@ -57,13 +57,12 @@ The catalog ids are stable strings used in reports and sweeps:
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain
 from typing import NamedTuple
 
-from .intervals import _shown
+from .intervals import _Record, _shown
 from .sequence import jacobsthal as J
 from .sequence import jacobsthal_range
 
@@ -83,27 +82,33 @@ __all__ = [
 ]
 
 
-@dataclass(slots=True)
-class IdentityResult:
+class IdentityResult(_Record, frozen=False):
     """Outcome of one exact identity check.
 
     `holds` means lhs <relation> rhs over exact rationals.  Checks invoked
     outside their stated index range are still computed but are flagged
     `applicable=False`, so sweeps can distinguish vacuous from verified.
 
-    A plain slotted record, cheap to make by the tens of thousands: it is
-    not frozen and, since it compares by value, not hashable.
+    A slotted record, cheap to make by the tens of thousands, that
+    compares and prints field by field like the other records: unlike
+    them it may be assigned to, and so is not hashable.
     """
 
-    identity: str
-    n: int
-    holds: bool
-    lhs: Fraction | int
-    rhs: Fraction | int
-    relation: str = "=="
-    k: int | None = None
-    applicable: bool = True
-    note: str = ""
+    __slots__ = ("identity", "n", "holds", "lhs", "rhs", "relation", "k", "applicable", "note")
+
+    def __init__(
+        self, identity: str, n: int, holds: bool, lhs: Fraction | int, rhs: Fraction | int,
+        relation: str = "==", k: int | None = None, applicable: bool = True, note: str = "",
+    ) -> None:
+        self.identity = identity
+        self.n = n
+        self.holds = holds
+        self.lhs = lhs
+        self.rhs = rhs
+        self.relation = relation
+        self.k = k
+        self.applicable = applicable
+        self.note = note
 
     @property
     def failed(self) -> bool:

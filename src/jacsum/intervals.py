@@ -5,6 +5,9 @@ exact interval [d/b, d/a] of integers, the reciprocal of [a/d, b/d]; it
 decides floors, ceilings and bound tests by integer division and
 cross-multiplication, with no gcd.  Every comparison on a decision path
 is exact: no floating point enters any verdict.
+
+`_Record` is the small base of jacsum's records, `RatInterval` among
+them: slotted classes that compare, hash, print and pickle field by field.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 import decimal
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -136,26 +138,76 @@ def rat_str(value: RatLike) -> str:
     return num if q.denominator == 1 else f"{num}/{int_str(q.denominator)}"
 
 
-@dataclass(frozen=True)
-class RatInterval:
-    """Closed interval [lo, hi] with exact rational endpoints, lo <= hi."""
+class _Record:
+    """Base of jacsum's records: a subclass names its fields in `__slots__`,
+    in order, and stores each in its own `__init__` by `object.__setattr__`.
 
-    lo: Fraction
-    hi: Fraction
+    Records compare, hash and print field by field, printing as
+    `Name(field=value, ...)`, and refuse assignment and deletion.
+    `pickle` and `copy` rebuild them through `_of`.  A subclass declared
+    with `frozen=False` may be assigned to and, since it still compares by
+    value, is not hashable.  A `"__dict__"` slot is not a field; it only
+    makes room for a `cached_property`.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval: lo={_shown(self.lo)} > hi={_shown(self.hi)}")
+    __slots__ = ()
+
+    def __init_subclass__(cls, frozen: bool = True) -> None:
+        cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+        if not frozen:
+            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
+            cls.__hash__ = None
 
     @classmethod
-    def _of(cls, lo: Fraction, hi: Fraction) -> RatInterval:
-        """[lo, hi] from two `Fraction`s already known to have lo <= hi,
-        stored as they are: no re-wrapping and no comparison."""
-        iv = cls.__new__(cls)
-        vars(iv).update(lo=lo, hi=hi)
-        return iv
+    def _of(cls, *values):
+        """The record of `values`, one per field, stored as they are: no
+        conversion and no check."""
+        rec = cls.__new__(cls)
+        for name, value in zip(cls._fields, values):
+            object.__setattr__(rec, name, value)
+        return rec
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def _replace(self, **changes):
+        """A copy with the named fields changed, made by the constructor, so
+        the copy is checked as any new record is, and a name that is not a
+        parameter of `__init__` raises TypeError."""
+        return type(self)(**{name: getattr(self, name) for name in self._fields} | changes)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return self._of, self._values()
+
+
+class RatInterval(_Record):
+    """Closed interval [lo, hi] with exact rational endpoints, lo <= hi."""
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: RatLike, hi: RatLike) -> None:
+        lo, hi = Fraction(lo), Fraction(hi)
+        if lo > hi:
+            raise ValueError(f"empty interval: lo={_shown(lo)} > hi={_shown(hi)}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @property
     def width(self) -> Fraction:

@@ -46,13 +46,12 @@ import json
 import math
 import re
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from typing import TextIO
 
 from .identities import IdentityResult
-from .intervals import int_str, rat_str
+from .intervals import _Record, int_str, rat_str
 from .series import Enclosure, SeriesSpec
 from .theorems import Verdict
 
@@ -88,10 +87,12 @@ CSV_HEADERS = {
 }
 
 
-@dataclass(slots=True)
-class ReportRow:
-    kind: str
-    payload: dict
+class ReportRow(_Record, frozen=False):
+    __slots__ = ("kind", "payload")
+
+    def __init__(self, kind: str, payload: dict) -> None:
+        self.kind = kind
+        self.payload = payload
 
 
 def _sort_key(row: ReportRow):

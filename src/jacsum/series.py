@@ -92,13 +92,12 @@ reads `Enclosure.interval`, which no command does, and in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterator, TypeVar
 
-from .intervals import RatInterval, Reciprocal, _shown, int_str
+from .intervals import RatInterval, Reciprocal, _Record, _shown, int_str
 from .sequence import jacobsthal as J
 
 __all__ = [
@@ -147,17 +146,16 @@ class SeriesFamily(str, Enum):
         return self in (SeriesFamily.RECIP_SQUARED, SeriesFamily.ALT_RECIP_SQUARED)
 
 
-@dataclass(frozen=True)
-class SeriesSpec:
+class SeriesSpec(_Record):
     """One series family plus its start index (start >= 1; J(0) = 0)."""
 
-    family: SeriesFamily
-    start: int
+    __slots__ = ("family", "start")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "family", SeriesFamily(self.family))
-        if self.start < 1:
-            raise ValueError(f"start must be >= 1, got {_shown(self.start)}")
+    def __init__(self, family: SeriesFamily | str, start: int) -> None:
+        object.__setattr__(self, "family", SeriesFamily(family))
+        if start < 1:
+            raise ValueError(f"start must be >= 1, got {_shown(start)}")
+        object.__setattr__(self, "start", start)
 
 
 def series_term(spec: SeriesSpec, k: int) -> Fraction:
@@ -219,26 +217,23 @@ def _dyadic_str(m: int, p: int) -> str:
     return num if t == p else f"{num}/{int_str(1 << (p - t))}"
 
 
-@dataclass(frozen=True, init=False)
-class Enclosure:
+class Enclosure(_Record):
     """Partial sum plus tail bound: an interval containing the limit.
 
     The interval is [_lo / 2^_p, _hi / 2^_p], kept as these integers with
     the least _p >= 0 that writes both endpoints, so equal intervals are
     stored alike; `interval`, the same interval as a `RatInterval`, is
-    built from them on first use.  `terms` is the index of the last summed
-    term (the truncation point K).
+    built from them on first use and kept in the instance's `__dict__`,
+    which is not a field.  `terms` is the index of the last summed term
+    (the truncation point K).  The five fields (spec, _lo, _hi, _p,
+    terms) are what equality, hashing and `repr` read.
 
     `Enclosure(spec, interval, terms)` takes an interval whose endpoints
     have power-of-two denominators, as every enclosure of the series does,
     and refuses any other with ValueError.
     """
 
-    spec: SeriesSpec
-    _lo: int
-    _hi: int
-    _p: int
-    terms: int
+    __slots__ = ("spec", "_lo", "_hi", "_p", "terms", "__dict__")
 
     def __init__(self, spec: SeriesSpec, interval: RatInterval, terms: int) -> None:
         lo, hi = interval.lo, interval.hi
@@ -259,7 +254,11 @@ class Enclosure:
 
     def _store(self, spec: SeriesSpec, lo: int, hi: int, p: int, terms: int) -> None:
         t = min(_zeros(lo, p), _zeros(hi, p))
-        vars(self).update(spec=spec, _lo=lo >> t, _hi=hi >> t, _p=p - t, terms=terms)
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "_lo", lo >> t)
+        object.__setattr__(self, "_hi", hi >> t)
+        object.__setattr__(self, "_p", p - t)
+        object.__setattr__(self, "terms", terms)
 
     @cached_property
     def interval(self) -> RatInterval:
@@ -455,8 +454,7 @@ def _within(enc: Enclosure, width_goal: Fraction) -> bool:
     return (enc._hi - enc._lo) * width_goal.denominator <= width_goal.numerator << enc._p
 
 
-@dataclass(frozen=True)
-class InverseEnclosure:
+class InverseEnclosure(_Record):
     """Enclosure of the reciprocal of a series limit, plus its floor/ceil.
 
     `decided` is None when the refinement cap was reached first, either
@@ -464,11 +462,15 @@ class InverseEnclosure:
     the sum enclosure never excluded zero (`interval` is then None too).
     """
 
-    spec: SeriesSpec
-    mode: str
-    decided: int | None
-    interval: RatInterval | None
-    sum_enclosure: Enclosure | None
+    __slots__ = ("spec", "mode", "decided", "interval", "sum_enclosure")
+
+    def __init__(self, spec: SeriesSpec, mode: str, decided: int | None,
+                 interval: RatInterval | None, sum_enclosure: Enclosure | None) -> None:
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "decided", decided)
+        object.__setattr__(self, "interval", interval)
+        object.__setattr__(self, "sum_enclosure", sum_enclosure)
 
 
 _T = TypeVar("_T")

@@ -54,13 +54,12 @@ continues instead, and the refinement cap turns into an `undecided`.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
 from operator import attrgetter
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from .intervals import Reciprocal, _shown, int_str
+from .intervals import Reciprocal, _Record, _shown, int_str
 from .sequence import jacobsthal as J
 from .series import Enclosure, SeriesFamily, SeriesSpec, refine_inverse
 
@@ -85,8 +84,7 @@ class Status(str, Enum):
     NOT_APPLICABLE = "not-applicable"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Record):
     """Outcome of one claim at one index.
 
     `decided` is the exactly decided floor/ceiling where the claim calls
@@ -94,15 +92,23 @@ class Verdict:
     `enclosure` is the final sum enclosure backing the verdict.
     """
 
-    theorem: str
-    n: int
-    status: Status
-    variant: str = "stated"
-    decided: int | None = None
-    expected: int | None = None
-    enclosure: Enclosure | None = None
-    discrepancy: bool = False
-    note: str = ""
+    __slots__ = ("theorem", "n", "status", "variant", "decided", "expected", "enclosure",
+                 "discrepancy", "note")
+
+    def __init__(
+        self, theorem: str, n: int, status: Status, variant: str = "stated",
+        decided: int | None = None, expected: int | None = None,
+        enclosure: Enclosure | None = None, discrepancy: bool = False, note: str = "",
+    ) -> None:
+        object.__setattr__(self, "theorem", theorem)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "variant", variant)
+        object.__setattr__(self, "decided", decided)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "enclosure", enclosure)
+        object.__setattr__(self, "discrepancy", discrepancy)
+        object.__setattr__(self, "note", note)
 
 
 # A judge gets (n, expected, reciprocal interval) and returns
@@ -111,8 +117,7 @@ class Verdict:
 _Judge = Callable[[int, "int | None", Reciprocal], "tuple[Status, int | None, str] | None"]
 
 
-@dataclass(frozen=True)
-class _Claim:
+class _Claim(NamedTuple):
     theorem: str
     variant: str
     family: SeriesFamily
@@ -260,7 +265,7 @@ def _verdicts(theorem: str, n: int, max_terms: int | None) -> tuple[Verdict, ...
         out.append(Verdict(theorem, n, status, c.variant, decided, expected, enc, note=note))
     if {Status.VERIFIED, Status.REFUTED} <= {v.status for v in out}:
         stamp = "variants disagree: " + "; ".join(f"{v.variant} {v.status.value}" for v in out)
-        out = [replace(v, discrepancy=True, note=f"{v.note}; {stamp}" if v.note else stamp)
+        out = [v._replace(discrepancy=True, note=f"{v.note}; {stamp}" if v.note else stamp)
                for v in out]
     return tuple(out)
 
