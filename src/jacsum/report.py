@@ -48,12 +48,14 @@ import re
 from collections.abc import Callable, Iterable, Iterator
 from decimal import Decimal
 from fractions import Fraction
-from typing import TextIO
+from typing import TYPE_CHECKING, TextIO
 
-from .identities import IdentityResult
 from .intervals import _Record, int_str, rat_str
-from .series import Enclosure, SeriesSpec
-from .theorems import Verdict
+
+if TYPE_CHECKING:  # annotations only: importing the report loads no other layer
+    from .identities import IdentityResult
+    from .series import Enclosure, SeriesSpec
+    from .theorems import Verdict
 
 __all__ = [
     "EXIT_OK",
@@ -380,7 +382,8 @@ def write_report(rows: Iterable, fmt: str, kind: str, out: TextIO) -> int:
     as `rows` yields it and nothing keeps it afterwards, so a generator of
     rows is written in constant memory.  `kind` fixes the CSV header even
     when `rows` is empty and the payload key of a row's status: all rows of
-    one report share a kind.  Returns the report's exit code: EXIT_REFUTED
+    one report share a kind.  An unknown format or kind raises ValueError
+    before anything is written.  Returns the report's exit code: EXIT_REFUTED
     if a verdict is refuted or an identity fails, else EXIT_UNDECIDED if a
     verdict or sum is undecided, else EXIT_OK.
     """
@@ -388,6 +391,8 @@ def write_report(rows: Iterable, fmt: str, kind: str, out: TextIO) -> int:
         (before, between, after, empty), formatters, _ = _FORMATS[fmt]
     except KeyError:
         raise ValueError(f"unknown format {fmt!r}") from None
+    if kind not in CSV_HEADERS:
+        raise ValueError(f"unknown row kind {kind!r}")
     head = ",".join(CSV_HEADERS[kind]) + "\n" if fmt == "csv" else ""
     key = "verdict" if kind == "identity" else "status"
     write, seen, sep = out.write, set(), head + before

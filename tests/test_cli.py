@@ -21,7 +21,7 @@ from jacsum import cli, identities, identity_sweep
 from jacsum.cli import main
 from jacsum.report import emit_report, identity_row, sum_row, verdict_row
 from jacsum.series import Enclosure
-from jacsum.intervals import RatInterval, int_str, rat_str
+from jacsum.intervals import int_str, rat_str
 from jacsum.identities import check_lemma_1_5
 
 F = Fraction
@@ -422,11 +422,7 @@ def test_seq_report_streams_in_bounded_memory():
 
 
 def test_verdict_json_schema_instance():
-    enc = Enclosure(
-        SeriesSpec(SeriesFamily.ALT_RECIP, 4),
-        RatInterval(F(1, 8), F(9, 64)),
-        24,
-    )
+    enc = Enclosure(SeriesSpec(SeriesFamily.ALT_RECIP, 4), 8, 9, 6, 24)
     row = verdict_row(
         Verdict("3.1", 4, Status.VERIFIED, variant="proof-implied",
                 decided=7, expected=7, enclosure=enc)

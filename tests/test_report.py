@@ -148,6 +148,16 @@ def test_writer_rejects_unknown_format_before_writing():
     assert out.getvalue() == ""
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_writer_rejects_unknown_kind_before_writing(fmt):
+    out = io.StringIO()
+    with pytest.raises(ValueError, match="unknown row kind 'bogus'"):
+        write_report([sequence_row(1, 2, 1)], fmt, "bogus", out)
+    assert out.getvalue() == ""
+    with pytest.raises(ValueError, match="unknown row kind 'bogus'"):
+        emit_report([sequence_row(1, 2, 1)], fmt, "bogus")
+
+
 def test_writer_writes_each_row_before_the_next_is_made():
     out = io.StringIO()
     rows = sort_rows(ROWS["identity"])

@@ -384,7 +384,9 @@ def test_disjoint_rounds_are_refused_not_inverted(monkeypatch):
 def test_dyadic_endpoints_are_reduced_by_their_trailing_zeros(odd, p, zeros):
     # odd * 2^zeros / 2^p, including integers (zeros >= p), zero and negatives
     m = (2 * odd + 1) << zeros if odd % 3 else 0
-    assert series._dyadic(m, p) == Fraction(m, 1 << p)
+    enc = series.Enclosure(spec("recip", 3), m, m, p, 9)
+    assert enc.interval.lo == enc.interval.hi == Fraction(m, 1 << p)
+    assert enc.p == 0 or enc.lo % 2  # no trailing zero bit left to strip
 
 
 @given(st.integers(-2**80, 2**80), st.integers(0, 70), st.integers(0, 90))
@@ -402,16 +404,16 @@ def test_dyadic_endpoint_text_is_rat_str_of_the_fraction(odd, p, zeros):
 def test_enclosure_rebuilt_from_its_interval_is_equal(family):
     for start in (1, 2, 5, 40):
         for enc in itertools.islice(enclosures(spec(family, start)), 3):
-            again = series.Enclosure(enc.spec, enc.interval, enc.terms)
+            again = series.Enclosure(enc.spec, enc.lo, enc.hi, enc.p, enc.terms)
             assert again == enc and hash(again) == hash(enc)
             assert again.as_payload() == enc.as_payload()
             assert enc.as_payload()["lo"] == rat_str(enc.interval.lo)
             assert enc.as_payload()["hi"] == rat_str(enc.interval.hi)
             # the same interval on a finer grid is the same enclosure
-            lo, hi, p = enc._lo, enc._hi, enc._p
-            finer = series.Enclosure._from_round(enc.spec, lo << 5, hi << 5, p + 5, enc.terms)
+            lo, hi, p = enc.lo, enc.hi, enc.p
+            finer = series.Enclosure(enc.spec, lo << 5, hi << 5, p + 5, enc.terms)
             assert finer == enc and finer.interval == enc.interval
-            assert enc != series.Enclosure(enc.spec, enc.interval, enc.terms + 1)
+            assert enc != series.Enclosure(enc.spec, lo, hi, p, enc.terms + 1)
             with pytest.raises(AttributeError):
                 enc.terms = 0
 
@@ -420,19 +422,20 @@ def test_enclosure_rebuilt_from_its_interval_is_equal(family):
 def test_enclosure_interval_is_the_checked_interval_of_its_integers(family):
     for enc in itertools.islice(enclosures(spec(family, 2)), 4):
         iv = enc.interval
-        assert iv == RatInterval(F(enc._lo, 1 << enc._p), F(enc._hi, 1 << enc._p))
+        assert iv == RatInterval(F(enc.lo, 1 << enc.p), F(enc.hi, 1 << enc.p))
         assert type(iv.lo) is F and type(iv.hi) is F and iv.lo <= iv.hi
         assert enc.interval is iv  # built once
 
 
 def test_enclosure_refuses_non_dyadic_intervals():
+    # a non-dyadic interval cannot be given; an empty one or a negative p is refused
     s = spec("recip", 3)
-    assert series.Enclosure(s, RatInterval(F(-3), F(5, 4)), 9).as_payload() == {
+    assert series.Enclosure(s, -3 << 2, 5, 2, 9).as_payload() == {
         "lo": "-3", "hi": "5/4", "terms": 9,
     }
-    for lo, hi in ((F(1, 3), F(1, 2)), (F(1, 2), F(2, 3)), (F(1, 6), F(1, 6))):
-        with pytest.raises(ValueError, match="power-of-two denominators"):
-            series.Enclosure(s, RatInterval(lo, hi), 9)
+    for lo, hi, p in ((5, 4, 2), (1, 0, 0), (1, 1, -1), (0, 0, -3)):
+        with pytest.raises(ValueError, match=f"lo={lo}, hi={hi}, p={p}"):
+            series.Enclosure(s, lo, hi, p, 9)
 
 
 @pytest.mark.parametrize("theorem, family, parity, mode", [
