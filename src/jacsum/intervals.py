@@ -8,6 +8,8 @@ is exact: no floating point enters any verdict.
 
 `_Record` is the small base of jacsum's records, `RatInterval` among
 them: slotted classes that compare, hash, print and pickle field by field.
+Its `__init__` is the one store of a record's fields; a record's own
+`__init__` checks and converts its arguments and ends in a call of it.
 """
 
 from __future__ import annotations
@@ -140,31 +142,43 @@ def rat_str(value: RatLike) -> str:
 
 class _Record:
     """Base of jacsum's records: a subclass names its fields in `__slots__`,
-    in order, and stores each in its own `__init__` by `object.__setattr__`.
+    in order.  Its `__init__` checks and converts its arguments, then hands
+    the values, in that order, to `_Record.__init__`, the one store.
 
-    Records compare, hash and print field by field, printing as
-    `Name(field=value, ...)`, and refuse assignment and deletion.
-    `pickle` and `copy` rebuild them through `_of`.  A subclass declared
-    with `frozen=False` may be assigned to and, since it still compares by
-    value, is not hashable.  A `"__dict__"` slot is not a field; it only
-    makes room for a `cached_property`.
+    The store writes each field through its slot's own descriptor setter,
+    bound once per class, so it gets past a frozen record's refusing
+    `__setattr__`.  Records compare, hash and print field by field,
+    printing as `Name(field=value, ...)`, and refuse assignment and
+    deletion.  `pickle` and `copy` rebuild them through `_of`, which runs
+    the store and no subclass `__init__`.
+
+    A subclass declared with `frozen=False` may be assigned to and, since
+    it still compares by value, is not hashable.  Such a record assigns
+    its fields directly, not through the store: `IdentityResult` is made
+    by the tens of thousands, and a call of the store would make each
+    about five times slower to build.  A `"__dict__"` slot is not a field;
+    it only makes room for a `cached_property`.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls, frozen: bool = True) -> None:
         cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+        cls._stores = tuple(getattr(cls, name).__set__ for name in cls._fields)
         if not frozen:
             cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
             cls.__hash__ = None
+
+    def __init__(self, *values) -> None:
+        for store, value in zip(self._stores, values):
+            store(self, value)
 
     @classmethod
     def _of(cls, *values):
         """The record of `values`, one per field, stored as they are: no
         conversion and no check."""
         rec = cls.__new__(cls)
-        for name, value in zip(cls._fields, values):
-            object.__setattr__(rec, name, value)
+        _Record.__init__(rec, *values)
         return rec
 
     def _values(self) -> tuple:
@@ -206,8 +220,7 @@ class RatInterval(_Record):
         lo, hi = Fraction(lo), Fraction(hi)
         if lo > hi:
             raise ValueError(f"empty interval: lo={_shown(lo)} > hi={_shown(hi)}")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        _Record.__init__(self, lo, hi)
 
     @property
     def width(self) -> Fraction:

@@ -154,10 +154,10 @@ class SeriesSpec(_Record):
     __slots__ = ("family", "start")
 
     def __init__(self, family: SeriesFamily | str, start: int) -> None:
-        object.__setattr__(self, "family", SeriesFamily(family))
+        family = SeriesFamily(family)
         if start < 1:
             raise ValueError(f"start must be >= 1, got {_shown(start)}")
-        object.__setattr__(self, "start", start)
+        _Record.__init__(self, family, start)
 
 
 def series_term(spec: SeriesSpec, k: int) -> Fraction:
@@ -236,11 +236,7 @@ class Enclosure(_Record):
                 f"need p >= 0 and lo <= hi, got lo={_shown(lo)}, hi={_shown(hi)}, p={_shown(p)}"
             )
         t = min(_zeros(lo, p), _zeros(hi, p))
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "lo", lo >> t)
-        object.__setattr__(self, "hi", hi >> t)
-        object.__setattr__(self, "p", p - t)
-        object.__setattr__(self, "terms", terms)
+        _Record.__init__(self, spec, lo >> t, hi >> t, p - t, terms)
 
     @cached_property
     def interval(self) -> RatInterval:
@@ -448,11 +444,7 @@ class InverseEnclosure(_Record):
 
     def __init__(self, spec: SeriesSpec, mode: str, decided: int | None,
                  interval: RatInterval | None, sum_enclosure: Enclosure | None) -> None:
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "decided", decided)
-        object.__setattr__(self, "interval", interval)
-        object.__setattr__(self, "sum_enclosure", sum_enclosure)
+        _Record.__init__(self, spec, mode, decided, interval, sum_enclosure)
 
 
 _T = TypeVar("_T")

@@ -100,15 +100,8 @@ class Verdict(_Record):
         decided: int | None = None, expected: int | None = None,
         enclosure: Enclosure | None = None, discrepancy: bool = False, note: str = "",
     ) -> None:
-        object.__setattr__(self, "theorem", theorem)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "variant", variant)
-        object.__setattr__(self, "decided", decided)
-        object.__setattr__(self, "expected", expected)
-        object.__setattr__(self, "enclosure", enclosure)
-        object.__setattr__(self, "discrepancy", discrepancy)
-        object.__setattr__(self, "note", note)
+        _Record.__init__(self, theorem, n, status, variant, decided, expected, enclosure,
+                         discrepancy, note)
 
 
 # A judge gets (n, expected, reciprocal interval) and returns

@@ -152,3 +152,34 @@ def test_records_behave_field_by_field(name):
             hash(rec)
         setattr(rec, *change)
         assert rec == changed
+
+
+def _keyword_records() -> dict:
+    """Per frozen record class: keyword arguments with a distinct value per
+    field, and the values its fields must hold after the constructor's
+    conversions."""
+    spec = jacsum.SeriesSpec("recip", 3)
+    enc = jacsum.Enclosure(spec, 5, 7, 3, 4)
+    iv = jacsum.RatInterval(1, 2)
+    return {
+        "RatInterval": (dict(lo=Fraction(1, 3), hi=2), dict(hi=Fraction(2))),
+        "SeriesSpec": (dict(family="alt-recip", start=7),
+                       dict(family=jacsum.SeriesFamily.ALT_RECIP)),
+        "Enclosure": (dict(spec=spec, lo=5, hi=7, p=3, terms=4), {}),
+        "InverseEnclosure": (
+            dict(spec=spec, mode="floor", decided=3, interval=iv, sum_enclosure=enc), {}),
+        "Verdict": (
+            dict(theorem="3.1", n=11, status=jacsum.Status.REFUTED, variant="corrected",
+                 decided=12, expected=13, enclosure=enc, discrepancy=True, note="spot"),
+            {}),
+    }
+
+
+@pytest.mark.parametrize("name", ["RatInterval", "SeriesSpec", "Enclosure", "InverseEnclosure",
+                                  "Verdict"])
+def test_frozen_records_store_each_keyword_in_its_own_field(name):
+    # the constructors hand their values to the shared store in `__slots__`
+    # order; a value passed in another order lands in another field
+    kwargs, converted = _keyword_records()[name]
+    rec = getattr(jacsum, name)(**kwargs)
+    assert {field: getattr(rec, field) for field in type(rec)._fields} == kwargs | converted

@@ -208,6 +208,7 @@ def test_usage_errors_exit_64(capsys):
     ("inf", "finite"), ("Infinity", "finite"), ("-Infinity", "finite"), ("nan", "finite"),
     ("1e-999999999999", "exponent"), ("1e999999999999", "exponent"),
     ("1e-100001", "exponent"), ("1e100001", "exponent"), ("10e-100001", "exponent"),
+    ("abc", "not a decimal width"),
 ])
 def test_sum_rejects_unbounded_widths_before_building_them(capsys, monkeypatch, width, reason):
     # argument parsing only: a Fraction built from such a width would hang or crash
@@ -219,6 +220,14 @@ def test_sum_rejects_unbounded_widths_before_building_them(capsys, monkeypatch, 
                          f"--width={width}", "--format", "json")
     assert (code, out) == (64, "")
     assert "argument --width" in err and reason in err
+
+
+@pytest.mark.parametrize("width", ["0", "-1e-3"])
+def test_sum_rejects_widths_that_are_not_positive(capsys, width):
+    code, out, err = run(capsys, "sum", "--family", "recip", "--start", "3",
+                         f"--width={width}", "--format", "json")
+    assert (code, out) == (64, "")
+    assert "argument --width" in err and "width must be positive" in err
 
 
 @pytest.mark.parametrize("width", ["1e-100000", "1e100000", "0.5", "123456e-7"])

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from jacsum import (
     jacobsthal_closed_form,
     rat_str,
 )
+from jacsum import identities
 from jacsum.identities import iter_identities
 
 import oracles
@@ -135,6 +137,18 @@ def test_step_3_3_examples():
     assert "n=5" in r.note
     r = check_step_3_3(1)
     assert r.holds and r.lhs == -1
+
+
+@pytest.mark.parametrize("ident, n, values", [
+    ("step2.1", 4, {4: 1, 5: 100, 6: 1, 7: 1}),
+    ("step3.3", 5, {4: 1, 5: 1, 6: 1}),
+])
+def test_disagreeing_forms_raise(ident, n, values):
+    # each entry evaluates its claim in two forms that agree on every true J;
+    # wrong J values make them disagree, which must stop the sweep
+    sides = identities._CATALOG[ident].sides(values, range(n, n + 1))
+    with pytest.raises(RuntimeError, match=rf"^{re.escape(ident)} .* at n={n}: "):
+        next(sides)
 
 
 def test_step_3_3_negative_from_five():
