@@ -21,11 +21,10 @@ to stdout as it is made and works out the exit code on the way.  A usage
 error therefore prints nothing to stdout.  `seq`, `poly` and
 `identities` make their rows lazily, so the memory of a report does not
 grow with its row count.  `seq` is `poly` at x = 2: both write the rows
-of `_poly_rows`.  `identities` hands the sweep the report module's
-identity renderer for the chosen format, made from the identity template
-that also writes an identity `ReportRow` in that format: each row arrives
-as a (verdict, text) pair, the text the row in that format, made from the
-row's values without a `ReportRow`.
+of `_poly_rows`.  `identities` hands the parts that `identities._catalog`
+yields to the report module's `_identity_texts`: each row arrives as a
+(verdict, text) pair, the text the row in the chosen format, made from
+the row's values without a `ReportRow`.
 
 Arguments whose size alone would exhaust memory or time are rejected
 with exit 64 before any row is made: `seq --from`/`--to` and
@@ -55,7 +54,7 @@ from .identities import _catalog
 from .intervals import _EXACT, _INTEGER, _shown
 from .report import (
     ReportRow,
-    _IDENTITY_RENDERERS,
+    _identity_texts,
     sequence_row,
     sum_row,
     verdict_row,
@@ -231,7 +230,7 @@ def _report_rows(args: argparse.Namespace) -> tuple[Iterable[ReportRow | tuple],
     """The command's rows in report order, and their kind.
 
     The rows are `ReportRow`s, except those of `identities`: (verdict,
-    item) pairs from the report's identity renderer.  Every argument is
+    text) pairs from the report's `_identity_texts`.  Every argument is
     checked here, before any row is written; the rows of `seq`, `poly` and
     `identities` are made lazily, as they are written.
     """
@@ -246,9 +245,9 @@ def _report_rows(args: argparse.Namespace) -> tuple[Iterable[ReportRow | tuple],
             )
         return _poly_rows(args.x, args.lo, args.hi), "sequence"
     if args.command == "identities":
-        # each catalog entry's rows rendered in the report's format as the
+        # each catalog entry's rows written in the report's format as the
         # sweep evaluates them
-        return _catalog(args.to, args.cassini_max, _IDENTITY_RENDERERS[args.format]), "identity"
+        return _identity_texts(_catalog(args.to, args.cassini_max), args.format), "identity"
     if args.command == "sum":
         spec = SeriesSpec(args.family, args.start)
         enc = enclose_sum(spec, args.width, max_terms=args.max_terms)

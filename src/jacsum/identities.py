@@ -11,16 +11,16 @@ the first n at which its sides can be computed, the first n of its stated
 range, and a generator that evaluates both sides over a range of n,
 reading J by subscript from a given indexer, and yields one side tuple
 (n, k, holds, lhs, rhs, note) per row.  One evaluator, `_evaluate`, runs
-an entry over its range and hands the side tuples to a renderer, called
-once per entry with the entry's id and relation and a lazy iterator of
-its tuples: `_results` makes the library's `IdentityResult`s, and the
-report module's identity renderers the CLI's report text, which so makes
-nothing per row but that text.  The evaluator also holds the stated-range
-rule: rows below the stated range go to the renderer in a call of their
-own, flagged not applicable, each note saying where that range starts.
-`check_*` run the evaluator over a one-element range, reading J from the
-closed form, and raise `ValueError` below the first computable n.  A
-sweep makes one window J(0..2*max(max_n+1, cassini_max)) by one
+an entry over its range and yields it as parts (id, relation, applicable,
+rows), `rows` a lazy iterator of the side tuples; the sweep, `_catalog`,
+yields every entry's parts in report order.  They are plain data:
+`_results` makes `IdentityResult`s of them, and the report module the
+CLI's report text, with nothing else made per row.  The evaluator also
+holds the stated-range rule: rows below the stated range come in a part
+of their own, flagged not applicable, each note saying where that range
+starts.  `check_*` run the evaluator over a one-element range, reading J
+from the closed form, and raise `ValueError` below the first computable
+n.  A sweep makes one window J(0..2*max(max_n+1, cassini_max)) by one
 recurrence pass, and every entry, the Cassini block included, reads its J
 from that window; nothing outlives the sweep.
 
@@ -56,10 +56,9 @@ The catalog ids are stable strings used in reports and sweeps:
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from functools import partial
-from itertools import chain
 from typing import NamedTuple
 
 from .intervals import _Record, _shown
@@ -249,13 +248,13 @@ _CATALOG = {
 }
 
 
-def _evaluate(entry: _Entry, J, ns: range, render: Callable, only_k: int | None = None):
-    """`render(id, relation, applicable, rows)` for one entry's rows over the
-    indices `ns`, all computable (lemma1.3: every offset 1..n, or only_k),
-    `rows` a lazy iterator of side tuples.  The stated-range rule: the rows
-    below the stated range, if any, are rendered first, in a call of their
+def _evaluate(entry: _Entry, J, ns: range, only_k: int | None = None) -> Iterator[tuple]:
+    """The parts (id, relation, applicable, rows) of one entry's rows over
+    the indices `ns`, all computable (lemma1.3: every offset 1..n, or
+    only_k), `rows` a lazy iterator of side tuples.  The stated-range rule:
+    the rows below the stated range, if any, come first, in a part of their
     own, not applicable and each noting where that range starts; the rows
-    inside it go to the renderer as the entry yields them."""
+    inside it come as the entry yields them."""
     sides = entry.sides if only_k is None else partial(entry.sides, only_k=only_k)
     stated = entry.stated_n
     below = range(ns.start, min(ns.stop, stated))
@@ -263,15 +262,16 @@ def _evaluate(entry: _Entry, J, ns: range, render: Callable, only_k: int | None 
         where = f"stated range starts at n={stated}"
         rows = ((n, k, holds, lhs, rhs, f"{note}; {where}" if note else where)
                 for n, k, holds, lhs, rhs, note in sides(J, below))
-        yield render(entry.id, entry.relation, False, rows)
+        yield entry.id, entry.relation, False, rows
     within = range(max(ns.start, stated), ns.stop)
     if within:
-        yield render(entry.id, entry.relation, True, sides(J, within))
+        yield entry.id, entry.relation, True, sides(J, within)
 
 
-def _results(ident: str, relation: str, applicable: bool, rows) -> Iterator[IdentityResult]:
-    """The renderer of the library: an `IdentityResult` per side tuple."""
+def _results(parts: Iterable[tuple]) -> Iterator[IdentityResult]:
+    """An `IdentityResult` per side tuple of the parts, lazily."""
     return (IdentityResult(ident, n, holds, lhs, rhs, relation, k, applicable, note)
+            for ident, relation, applicable, rows in parts
             for n, k, holds, lhs, rhs, note in rows)
 
 
@@ -289,8 +289,7 @@ def _check(ident: str, n: int, k: int | None = None) -> IdentityResult:
     entry = _CATALOG[ident]
     if n < entry.min_n:
         raise ValueError(f"{ident} needs n >= {entry.min_n}, got {_shown(n)}")
-    (part,) = _evaluate(entry, _ClosedForm(), range(n, n + 1), _results, k)
-    return next(part)
+    return next(_results(_evaluate(entry, _ClosedForm(), range(n, n + 1), k)))
 
 
 def check_lemma_1_1(n: int) -> IdentityResult:
@@ -388,16 +387,13 @@ def iter_identities(max_n: int, cassini_max: int) -> Iterator[IdentityResult]:
     themselves run lazily, so a caller can write each result as it comes
     without holding the sweep.
     """
-    return _catalog(max_n, cassini_max, _results)
+    return _results(_catalog(max_n, cassini_max))
 
 
-def _catalog(max_n: int, cassini_max: int, render: Callable) -> Iterator:
-    """What `render` makes of the sweep's rows, lazily, in report order; the
-    caps are checked first.  `render(id, relation, applicable, rows)` is
-    called once per catalog entry (twice for an entry whose rows start below
-    its stated range; see `_evaluate`) and returns an iterable: `_results`
-    makes the library's `IdentityResult`s, and each report renderer the
-    CLI's report items in one format, with nothing made in between."""
+def _catalog(max_n: int, cassini_max: int) -> Iterator[tuple]:
+    """The sweep's parts, lazily, in report order (see `_evaluate`): one per
+    catalog entry, two for an entry whose rows start below its stated
+    range.  The caps are checked first, on the call."""
     if max_n < 1:
         raise ValueError(f"need max_n >= 1, got {_shown(max_n)}")
     if cassini_max < 1:
@@ -407,10 +403,9 @@ def _catalog(max_n: int, cassini_max: int, render: Callable) -> Iterator:
     # where computable, below the stated range included; step2.2 is not, and
     # starts at its stated n
     J = jacobsthal_range(0, 2 * max(max_n + 1, cassini_max))
-    return chain.from_iterable(
+    return (
         part
         for e in _CATALOG.values()
         for part in _evaluate(e, J, range(1 if e.min_n <= 1 else e.stated_n,
-                                          (cassini_max if e.id == "lemma1.3" else max_n) + 1),
-                              render)
+                                          (cassini_max if e.id == "lemma1.3" else max_n) + 1))
     )

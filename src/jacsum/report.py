@@ -24,11 +24,12 @@ notes) is escaped, through `_json_str` or `_csv_str`.
 The identity formatters are entry templates, `_identity_<format>(identity,
 relation)`, which make the constant text of one catalog entry once and
 return the entry's `row(n, k, verdict, lhs, rhs, note)`.  `_by_payload`
-feeds a template an identity payload.  For the CLI, `identities._catalog`
-calls the identity renderer of the report's format once per entry, built
-from the same templates: it turns each side tuple straight into the row's
-text, which the writer writes as it is, so no `ReportRow` or payload is
-made per row.  `identity_row` is that renderer with a payload template.
+feeds a template an identity payload.  For the CLI, `_identity_texts`
+takes the parts that `identities._catalog` yields, each an entry's id,
+relation, applicability and lazy side tuples, makes the entry's template
+once per part and turns each side tuple straight into the row's text,
+which the writer writes as it is, so no `ReportRow` or payload is made
+per row.  Both paths take their verdict words from `_VERDICT_WORDS`.
 
 `write_report` is the one writer, one loop for every format.  It takes
 rows already in report order, from any iterable, and writes each row to
@@ -119,12 +120,18 @@ def sequence_row(n: int, x: int, value: int | str) -> ReportRow:
     return ReportRow("sequence", {"n": n, "x": x, "value": text})
 
 
+# the verdicts of an identity row that fails and of one that holds, by
+# whether the row is applicable
+_VERDICT_WORDS = {True: ("fails", "holds"), False: ("not-applicable", "not-applicable")}
+
+
 def identity_row(res: IdentityResult) -> ReportRow:
-    ((_, row),) = _identity_renderer(_identity_payload)(
-        res.identity, res.relation, res.applicable,
-        ((res.n, res.k, res.holds, res.lhs, res.rhs, res.note),),
-    )
-    return row
+    verdict = _VERDICT_WORDS[bool(res.applicable)][bool(res.holds)]
+    return ReportRow("identity", {
+        "identity": res.identity, "n": res.n, "k": res.k, "verdict": verdict,
+        "relation": res.relation, "lhs": rat_str(res.lhs), "rhs": rat_str(res.rhs),
+        "note": res.note,
+    })
 
 
 def sum_row(
@@ -275,7 +282,7 @@ def _verdict_plain(theorem, variant, n, status, decided, expected, enc, discrepa
 # The identity template of each format.  `_identity_<format>(identity,
 # relation)` makes the constant text of one catalog entry once and returns
 # the entry's row formatter, `row(n, k, verdict, lhs, rhs, note)`, the
-# sides already text.  The renderers pass n and k as ints, which str()
+# sides already text.  `_identity_texts` passes n and k as ints, which str()
 # writes: the catalog's indices are far below any int-to-str digit limit,
 # since a window of J reaching twice as far is built first.
 
@@ -313,16 +320,6 @@ def _identity_plain(identity: str, relation: str) -> Callable[..., str]:
     return row
 
 
-def _identity_payload(identity: str, relation: str) -> Callable[..., ReportRow]:
-    def row(n, k, verdict, lhs, rhs, note):
-        return ReportRow("identity", {
-            "identity": identity, "n": n, "k": k, "verdict": verdict,
-            "relation": relation, "lhs": lhs, "rhs": rhs, "note": note,
-        })
-
-    return row
-
-
 def _by_payload(template: Callable) -> Callable:
     """The formatter of an identity payload's values through `template`, n
     and k as the text `int_str` writes, so an `identity_row` of any size is
@@ -333,24 +330,6 @@ def _by_payload(template: Callable) -> Callable:
         return template(identity, relation)(int_str(n), k, verdict, lhs, rhs, note)
 
     return row
-
-
-def _identity_renderer(template: Callable) -> Callable:
-    """A renderer for `identities._catalog`, called once per catalog entry:
-    it yields (verdict, row) for each of the entry's side tuples (n, k,
-    holds, lhs, rhs, note), the row written by the entry's `template`, the
-    sides as `rat_str` writes them, an equal right side converted once."""
-
-    def render(identity: str, relation: str, applicable: bool, rows) -> Iterator[tuple]:
-        row = template(identity, relation)
-        holds_text, fails_text = ("holds", "fails") if applicable else ("not-applicable",) * 2
-        for n, k, holds, lhs, rhs, note in rows:
-            verdict = holds_text if holds else fails_text
-            lhs_text = int_str(lhs) if type(lhs) is int else rat_str(lhs)
-            rhs_text = lhs_text if rhs is lhs or rhs == lhs else rat_str(rhs)
-            yield verdict, row(n, k, verdict, lhs_text, rhs_text, note)
-
-    return render
 
 
 # per format: its frame (the text before the first row, between rows, after
@@ -369,23 +348,39 @@ _FORMATS = {
     )
 }
 
-# per format, the renderer of the CLI's identity report: the writer of the
-# format writes what it yields as it is
-_IDENTITY_RENDERERS = {fmt: _identity_renderer(t) for fmt, (_, _, t) in _FORMATS.items()}
+
+def _identity_texts(parts: Iterable[tuple], fmt: str) -> Iterator[tuple[str, str]]:
+    """(verdict, text) for each side tuple (n, k, holds, lhs, rhs, note) of
+    the catalog parts (identity, relation, applicable, rows) that
+    `identities._catalog` yields: the text is the row in format `fmt`,
+    written by the entry's template, made once per part, the sides as
+    `rat_str` writes them, an equal right side converted once."""
+    template = _FORMATS[fmt][2]
+    for identity, relation, applicable, rows in parts:
+        row = template(identity, relation)
+        fails_text, holds_text = _VERDICT_WORDS[applicable]
+        for n, k, holds, lhs, rhs, note in rows:
+            verdict = holds_text if holds else fails_text
+            lhs_text = int_str(lhs) if type(lhs) is int else rat_str(lhs)
+            rhs_text = lhs_text if rhs is lhs or rhs == lhs else rat_str(rhs)
+            yield verdict, row(n, k, verdict, lhs_text, rhs_text, note)
 
 
 def write_report(rows: Iterable, fmt: str, kind: str, out: TextIO) -> int:
     """Write rows, already in report order, to `out` in one of json/csv/plain.
 
     Each row is a `ReportRow` or, in an identity report, a (verdict, text)
-    pair that `_IDENTITY_RENDERERS[fmt]` made.  Each row is written as soon
-    as `rows` yields it and nothing keeps it afterwards, so a generator of
-    rows is written in constant memory.  `kind` fixes the CSV header even
-    when `rows` is empty and the payload key of a row's status: all rows of
-    one report share a kind.  An unknown format or kind raises ValueError
-    before anything is written.  Returns the report's exit code: EXIT_REFUTED
-    if a verdict is refuted or an identity fails, else EXIT_UNDECIDED if a
-    verdict or sum is undecided, else EXIT_OK.
+    pair that `_identity_texts` made in format `fmt`.  Each row is written
+    as soon as `rows` yields it and nothing keeps it afterwards, so a
+    generator of rows is written in constant memory.  `kind` fixes the CSV
+    header even when `rows` is empty and the payload key of a row's status.
+    All rows of one report share a kind: an unknown format or kind raises
+    ValueError before anything is written, and a `ReportRow` of another
+    kind raises it before that row is written (the CSV header goes out with
+    the first row, so a report whose first row is refused writes nothing).
+    Returns the report's exit code: EXIT_REFUTED if a verdict is refuted or
+    an identity fails, else EXIT_UNDECIDED if a verdict or sum is
+    undecided, else EXIT_OK.
     """
     try:
         (before, between, after, empty), formatters, _ = _FORMATS[fmt]
@@ -398,9 +393,12 @@ def write_report(rows: Iterable, fmt: str, kind: str, out: TextIO) -> int:
     write, seen, sep = out.write, set(), head + before
     for row in rows:
         # a `ReportRow` is made into its text here; a (verdict, text) pair
-        # that an identity renderer made is written as it is
-        status, text = row if type(row) is not ReportRow else (
-            row.payload.get(key), formatters[row.kind](*row.payload.values()))
+        # that `_identity_texts` made is written as it is
+        if type(row) is ReportRow:
+            if row.kind != kind:
+                raise ValueError(f"{row.kind!r} row in a {kind!r} report")
+            row = row.payload.get(key), formatters[kind](*row.payload.values())
+        status, text = row
         seen.add(status)
         write(sep + text)
         sep = between

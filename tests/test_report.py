@@ -158,6 +158,26 @@ def test_writer_rejects_unknown_kind_before_writing(fmt):
         emit_report([sequence_row(1, 2, 1)], fmt, "bogus")
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_writer_refuses_a_row_of_another_kind_before_writing_it(fmt):
+    # a failing identity in a verdict report would read its status from a
+    # key it has not, and exit 0
+    fails = identity_row(IdentityResult("lemma1.1", 2, False, 3, 2))
+    out = io.StringIO()
+    with pytest.raises(ValueError, match="'identity' row in a 'verdict' report"):
+        write_report([fails], fmt, "verdict", out)
+    assert out.getvalue() == ""
+    with pytest.raises(ValueError, match="'sum' row in a 'verdict' report"):
+        emit_report(ROWS["sum"][:1], fmt, "verdict")
+    # rows before the stray one are written; the stray one is not
+    verdicts = ROWS["verdict"][:2]
+    out = io.StringIO()
+    with pytest.raises(ValueError, match="'sequence' row in a 'verdict' report"):
+        write_report([*verdicts, sequence_row(1, 2, 1)], fmt, "verdict", out)
+    written = _write(verdicts, fmt, "verdict")[0]
+    assert out.getvalue() == written.removesuffix("]\n" if fmt == "json" else "")
+
+
 def test_writer_writes_each_row_before_the_next_is_made():
     out = io.StringIO()
     rows = sort_rows(ROWS["identity"])
