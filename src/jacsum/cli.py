@@ -22,9 +22,10 @@ error therefore prints nothing to stdout.  `seq`, `poly` and
 `identities` make their rows lazily, so the memory of a report does not
 grow with its row count.  `seq` is `poly` at x = 2: both write the rows
 of `_poly_rows`.  `identities` hands the parts that `identities._catalog`
-yields to the report module's `_identity_texts`: each row arrives as a
-(verdict, text) pair, the text the row in the chosen format, made from
-the row's values without a `ReportRow`.
+yields to the report module's `_identity_texts`: the rows arrive as
+(verdict, text) pairs, each text a run of rows of about 64 KiB in the
+chosen format, made from the rows' values without a `ReportRow`, and
+each verdict "fails" if a row of its run fails.
 
 Arguments whose size alone would exhaust memory or time are rejected
 with exit 64 before any row is made: `seq --from`/`--to` and

@@ -4,7 +4,7 @@ Each check evaluates both sides of one identity (or one inequality step)
 in exact arithmetic and records the outcome.  Nothing here is approximate:
 `holds` is a statement about exact integers or fully normalized rationals.
 Integer-valued sides are kept as `int`; only sides that can be fractional
-(step2.2, lemma1.2c's 2^(n-2) at n = 1) are `Fraction`s.
+(step2.2, lemma1.2c's 2^(n-2) at n = 1) are `Fraction`s in a result.
 
 The catalog is one table, `_CATALOG`: per identity its id, its relation,
 the first n at which its sides can be computed, the first n of its stated
@@ -31,8 +31,17 @@ positive common denominator J(n)J(n+2)J(n+3):
 step2.2's two sides are compared as numerators over their positive common
 denominator D = abbccd, with a, b, c, d = J(n-1), J(n), J(n+1), J(n+2);
 the left numerator is written ccd(b - a) - 2abb(d + 2c), sharing abb and
-ccd with D.  The reported value is one reduced `Fraction`, and a separate
-left side is built only if they differ.  The Cassini right side
+ccd with D.  The common value R/D, R = (-1)^(n-1) 2^(n-1) J(2n+1), is
+reduced without a full gcd.  J(m) is odd for m >= 1, so D is odd and
+gcd(R, D) = gcd(J(2n+1), D).  By Lucas's strong divisibility,
+gcd(J(i), J(j)) = J(gcd(i, j)), as J is the Lucas sequence U(1, -2); and
+gcd(2n+1, n) = gcd(2n+1, n+1) = 1, gcd(2n+1, n-1) = gcd(2n+1, n+2) =
+gcd(3, n-1).  So J(2n+1) is coprime to b and c, and shares with a and d
+at most J(3) = 3 each: gcd(R, D) divides 9, and is
+g = gcd(R mod 9, D mod 9, 9), which is 1 unless 3 divides n - 1.  The
+side tuple carries the reduced pair (R/g, D/g), whose text the report
+writes as it is; `_results` makes it the `Fraction` a result holds.  A
+left side that differs is a `Fraction` of its own.  The Cassini right side
 (-1)^(n-k+1) 2^(n-k) J(k)^2 is J(k)^2 << (n-k), negated when n-k is even,
 and every square it and the left side read is made once per sweep.
 
@@ -59,6 +68,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from functools import partial
+from math import gcd
 from typing import NamedTuple
 
 from .intervals import _Record, _shown
@@ -198,7 +208,9 @@ def _step_2_2(J, ns):
         rhs_num = J[2 * n + 1] << (n - 1)
         if not n & 1:
             rhs_num = -rhs_num
-        rhs = Fraction(rhs_num, denom)
+        # gcd(rhs_num, denom) divides 9 (see the module docstring)
+        g = gcd(rhs_num % 9, denom % 9, 9)
+        rhs = (rhs_num // g, denom // g)
         lhs = rhs if lhs_num == rhs_num else Fraction(lhs_num, denom)
         sign = "positive" if lhs_num > 0 else ("negative" if lhs_num < 0 else "zero")
         yield n, None, lhs_num == rhs_num, lhs, rhs, f"common value {sign}"
@@ -269,10 +281,14 @@ def _evaluate(entry: _Entry, J, ns: range, only_k: int | None = None) -> Iterato
 
 
 def _results(parts: Iterable[tuple]) -> Iterator[IdentityResult]:
-    """An `IdentityResult` per side tuple of the parts, lazily."""
-    return (IdentityResult(ident, n, holds, lhs, rhs, relation, k, applicable, note)
-            for ident, relation, applicable, rows in parts
-            for n, k, holds, lhs, rhs, note in rows)
+    """An `IdentityResult` per side tuple of the parts, lazily, step2.2's
+    reduced pair (p, q) made the normalized `Fraction` p/q."""
+    for ident, relation, applicable, rows in parts:
+        for n, k, holds, lhs, rhs, note in rows:
+            if type(rhs) is tuple:  # step2.2's pair: one Fraction, both sides' if equal
+                value = Fraction(*rhs)
+                lhs, rhs = value if lhs is rhs else lhs, value
+            yield IdentityResult(ident, n, holds, lhs, rhs, relation, k, applicable, note)
 
 
 class _ClosedForm:

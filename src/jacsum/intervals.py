@@ -140,6 +140,19 @@ def rat_str(value: RatLike) -> str:
     return num if q.denominator == 1 else f"{num}/{int_str(q.denominator)}"
 
 
+def _field_repr(value: object) -> str:
+    """repr() of a record's field, an int, a `Fraction`'s parts and a dict's
+    values written through `int_str`, so a record prints whatever the
+    int-to-str digit limit."""
+    if type(value) is int:
+        return int_str(value)
+    if type(value) is Fraction:
+        return f"Fraction({int_str(value.numerator)}, {int_str(value.denominator)})"
+    if type(value) is dict:  # a `ReportRow`'s payload
+        return "{" + ", ".join(f"{k!r}: {_field_repr(v)}" for k, v in value.items()) + "}"
+    return repr(value)
+
+
 class _Record:
     """Base of jacsum's records: a subclass names its fields in `__slots__`,
     in order.  Its `__init__` checks and converts its arguments, then hands
@@ -199,7 +212,7 @@ class _Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = ", ".join(f"{name}={_field_repr(getattr(self, name))}" for name in self._fields)
         return f"{type(self).__name__}({fields})"
 
     def __setattr__(self, name: str, value: object = None) -> None:

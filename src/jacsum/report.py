@@ -27,17 +27,19 @@ return the entry's `row(n, k, verdict, lhs, rhs, note)`.  `_by_payload`
 feeds a template an identity payload.  For the CLI, `_identity_texts`
 takes the parts that `identities._catalog` yields, each an entry's id,
 relation, applicability and lazy side tuples, makes the entry's template
-once per part and turns each side tuple straight into the row's text,
-which the writer writes as it is, so no `ReportRow` or payload is made
-per row.  Both paths take their verdict words from `_VERDICT_WORDS`.
+once per part and turns each side tuple straight into the row's text, so
+no `ReportRow` or payload is made per row.  It joins a part's row texts
+into runs of about _RUN_CHARS (64 KiB) characters, each written by the
+writer as it is, in one `write`.  Both paths take their verdict words
+from `_VERDICT_WORDS`.
 
 `write_report` is the one writer, one loop for every format.  It takes
-rows already in report order, from any iterable, and writes each row to
-the output as soon as it is made, so a report never has to be held in
-memory whole; the format's frame gives the text around and between the
-rows.  It gathers the rows' statuses in the same loop and works out the
-exit code from them.  `emit_report` sorts a list of rows and returns the
-report as a string.
+rows already in report order, from any iterable, and writes each row (or
+run of identity rows) to the output as soon as it is made, so a report
+never has to be held in memory whole; the format's frame gives the text
+around and between the rows.  It gathers the rows' statuses in the same
+loop and works out the exit code from them.  `emit_report` sorts a list
+of rows and returns the report as a string.
 """
 
 from __future__ import annotations
@@ -349,31 +351,59 @@ _FORMATS = {
 }
 
 
+# The size, in characters, at which `_identity_texts` ends a run of identity
+# rows and yields it as one text, to be written in one `write`
+_RUN_CHARS = 1 << 16
+
+
+def _side_text(side) -> str:
+    """A side's text as `rat_str` writes its value: the side is an int, a
+    `Fraction` or step2.2's reduced pair (p, q), q > 1, written as "p/q"
+    with no gcd taken."""
+    if type(side) is tuple:
+        return f"{int_str(side[0])}/{int_str(side[1])}"
+    return rat_str(side)
+
+
 def _identity_texts(parts: Iterable[tuple], fmt: str) -> Iterator[tuple[str, str]]:
-    """(verdict, text) for each side tuple (n, k, holds, lhs, rhs, note) of
-    the catalog parts (identity, relation, applicable, rows) that
-    `identities._catalog` yields: the text is the row in format `fmt`,
-    written by the entry's template, made once per part, the sides as
-    `rat_str` writes them, an equal right side converted once."""
-    template = _FORMATS[fmt][2]
+    """(verdict, text) runs of the side tuples (n, k, holds, lhs, rhs, note)
+    of the catalog parts (identity, relation, applicable, rows) that
+    `identities._catalog` yields.  Each row is written in format `fmt` by
+    the entry's template, made once per part, the sides as `rat_str` writes
+    them, an equal right side converted once.  A part's row texts are
+    joined with the format's text between rows into runs of about
+    _RUN_CHARS characters, one ending when it reaches that size and at the
+    end of the part; a run's verdict is "fails" if a row in it fails."""
+    (_, between, _, _), _, template = _FORMATS[fmt]
     for identity, relation, applicable, rows in parts:
         row = template(identity, relation)
         fails_text, holds_text = _VERDICT_WORDS[applicable]
+        run, size, verdict = [], 0, holds_text
         for n, k, holds, lhs, rhs, note in rows:
-            verdict = holds_text if holds else fails_text
-            lhs_text = int_str(lhs) if type(lhs) is int else rat_str(lhs)
-            rhs_text = lhs_text if rhs is lhs or rhs == lhs else rat_str(rhs)
-            yield verdict, row(n, k, verdict, lhs_text, rhs_text, note)
+            if not holds:
+                verdict = fails_text
+            lhs_text = int_str(lhs) if type(lhs) is int else _side_text(lhs)
+            rhs_text = lhs_text if rhs is lhs or rhs == lhs else _side_text(rhs)
+            text = row(n, k, holds_text if holds else fails_text, lhs_text, rhs_text, note)
+            run.append(text)
+            size += len(text) + len(between)
+            if size >= _RUN_CHARS:
+                yield verdict, between.join(run)
+                run, size, verdict = [], 0, holds_text
+        if run:
+            yield verdict, between.join(run)
 
 
 def write_report(rows: Iterable, fmt: str, kind: str, out: TextIO) -> int:
     """Write rows, already in report order, to `out` in one of json/csv/plain.
 
     Each row is a `ReportRow` or, in an identity report, a (verdict, text)
-    pair that `_identity_texts` made in format `fmt`.  Each row is written
-    as soon as `rows` yields it and nothing keeps it afterwards, so a
-    generator of rows is written in constant memory.  `kind` fixes the CSV
-    header even when `rows` is empty and the payload key of a row's status.
+    pair that `_identity_texts` made in format `fmt`: a run of rows, the
+    text between them included, "fails" its verdict if one of them fails.
+    Each is written, in one `write`, as soon as `rows` yields it and
+    nothing keeps it afterwards, so a generator of rows is written in
+    constant memory.  `kind` fixes the CSV header even when `rows` is
+    empty and the payload key of a row's status.
     All rows of one report share a kind: an unknown format or kind raises
     ValueError before anything is written, and a `ReportRow` of another
     kind raises it before that row is written (the CSV header goes out with

@@ -154,6 +154,25 @@ def test_records_behave_field_by_field(name):
         assert rec == changed
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="interpreter has no int-to-str digit limit")
+def test_records_print_long_integers_under_a_low_digit_limit():
+    big, digits = 10**5000, "1" + "0" * 5000
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        result = jacsum.IdentityResult("x", big, False, Fraction(-1, big + 1), 2)
+        text = repr(result)
+        row = repr(ReportRow("identity", {"n": big, "lo": "1", "enclosure": {"terms": -big}}))
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert text == (f"IdentityResult(identity='x', n={digits}, holds=False,"
+                    f" lhs=Fraction(-1, {digits[:-1]}1), rhs=2, relation='==', k=None,"
+                    " applicable=True, note='')")
+    assert row == (f"ReportRow(kind='identity', payload={{'n': {digits}, 'lo': '1',"
+                   f" 'enclosure': {{'terms': -{digits}}}}})")
+
+
 def _keyword_records() -> dict:
     """Per frozen record class: keyword arguments with a distinct value per
     field, and the values its fields must hold after the constructor's

@@ -17,7 +17,7 @@ from jacsum import (
     SeriesFamily, SeriesSpec, Status, Verdict, enclose_sum, enclosures,
     jacobsthal_closed_form, jacobsthal_poly, jacobsthal_range,
 )
-from jacsum import cli, identities, identity_sweep
+from jacsum import cli, identities, identity_sweep, report
 from jacsum.cli import main
 from jacsum.report import emit_report, identity_row, sum_row, verdict_row
 from jacsum.series import Enclosure
@@ -480,16 +480,18 @@ def test_cli_byte_determinism_in_subprocess():
 
 @pytest.mark.parametrize("fmt", ["json", "plain"])
 def test_a_reader_that_closes_early_ends_the_run_quietly(fmt):
-    # the report is far larger than a pipe's buffer, so the writer is still
-    # writing when the reader closes its end after 10 bytes
-    cmd = [sys.executable, "-m", "jacsum", "seq", "--to", "3000", "--format", fmt]
-    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert len(proc.stdout.read(10)) == 10
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
-    assert err == b""
+    # each report is far larger than a pipe's buffer, so the writer is still
+    # writing when the reader closes its end after 10 bytes; `identities`
+    # writes its rows in runs of many rows
+    for argv in (["seq", "--to", "3000"], ["identities", "--to", "1024", "--cassini-max", "256"]):
+        cmd = [sys.executable, "-m", "jacsum", *argv, "--format", fmt]
+        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141, argv
+        assert err == b"", argv
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
@@ -607,6 +609,74 @@ def test_a_failing_identity_fails_the_cli_run(capsys, monkeypatch, fmt):
     assert out.count("fails") == 1
     failed = [r for r in identity_sweep(9, 6) if r.failed]
     assert [(r.identity, r.n, r.k, r.lhs - r.rhs) for r in failed] == [("lemma1.3", 5, 2, 1)]
+
+
+class _Recorder:
+    """A text output that keeps each `write` apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def _recorded(*argv):
+    """The exit code and the writes of one CLI run."""
+    sink = _Recorder()
+    with contextlib.redirect_stdout(sink):
+        code = main(list(argv))
+    return code, sink.writes
+
+
+# the text that marks the lemma1.3 row at (n, k), per format
+_CASSINI_ROW = {"json": '"n":{},"k":{},', "csv": "lemma1.3,{},{},", "plain": "n={}, k={} "}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_row_failing_inside_a_run_fails_the_cli_run(monkeypatch, fmt):
+    # --cassini-max 64 makes 2,080 lemma1.3 rows, some 500 to a run; the row
+    # (40, 20), the 800th, is made to fail, and its neighbours share its run
+    entry = identities._CATALOG["lemma1.3"]
+
+    def off_by_one_at_40_20(J, ns, only_k=None):
+        for n, k, holds, lhs, rhs, note in entry.sides(J, ns, only_k):
+            if (n, k) == (40, 20):
+                lhs, holds = lhs + 1, False
+            yield n, k, holds, lhs, rhs, note
+
+    monkeypatch.setitem(identities._CATALOG, "lemma1.3",
+                        entry._replace(sides=off_by_one_at_40_20))
+    code, writes = _recorded("identities", "--to", "9", "--cassini-max", "64", "--format", fmt)
+    assert code == 2
+    assert "".join(writes) == _library_identities_report(9, 64, fmt)
+    [run] = [w for w in writes if "fails" in w]
+    marks = [run.find(_CASSINI_ROW[fmt].format(40, k)) for k in (19, 20, 21)]
+    assert 0 < marks[0] < marks[1] < run.find("fails") < marks[2]
+    assert run.count("fails") == 1
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_identity_rows_are_written_in_bounded_runs(fmt):
+    code, writes = _recorded("identities", "--to", "512", "--cassini-max", "128", "--format", fmt)
+    assert code == 0
+    out = "".join(writes)
+    if fmt == "json":  # each row with the comma written before it
+        rows = ["," + json.dumps(row, separators=(",", ":")) for row in json.loads(out)]
+        frame = "["
+    else:
+        rows = out.splitlines(keepends=True)
+        frame = rows.pop(0) if fmt == "csv" else ""  # the header line
+    assert len(rows) == 10 * 512 - 2 + 128 * 129 // 2  # step2.2 starts at n = 3
+    assert writes[0].startswith(frame)
+    longest = max(map(len, rows))
+    # one write per run, each within the bound and one row beyond it
+    assert len(rows) / 100 > len(writes) > 11
+    assert max(len(writes[0]) - len(frame), *map(len, writes[1:])) <= report._RUN_CHARS + longest
 
 
 @pytest.mark.parametrize("fmt", FORMATS)

@@ -46,6 +46,24 @@ def test_counts_only_the_lines_that_hold_code(tmp_path):
     assert code_lines.code_lines(path) == 10
 
 
+def test_a_docstring_line_that_holds_other_code_is_code(tmp_path):
+    # code lines: def f (1), class A (1), def g (1), the line the docstring
+    # ends on with x = 1 (1), class with a non-ASCII name (1), def h (1): 6.
+    # The line holding only a docstring's start and the parenthesized
+    # docstring's two lines are not code.
+    path = tmp_path / "one_line_bodies.py"
+    path.write_text('def f(): "doc"; return 1\n'
+                    'class A: "doc"\n'
+                    'def g():\n'
+                    '    """doc\n'
+                    '    more"""; x = 1\n'
+                    'class \u00c4: "d\u00f3c"\n'
+                    'def h():\n'
+                    '    ("""a parenthesized\n'
+                    '    docstring""")\n', encoding="utf-8")
+    assert code_lines.code_lines(path) == 6
+
+
 def test_printed_total_is_the_sum_of_the_modules(tmp_path, capsys):
     (tmp_path / "made_up.py").write_text(SOURCE)
     (tmp_path / "small.py").write_text('"""Doc."""\n\nVALUE = 1\n\n\ndef f():\n    return VALUE\n')

@@ -16,6 +16,7 @@ from jacsum import (
     check_step_3_3,
     identity_sweep,
     jacobsthal_closed_form,
+    jacobsthal_range,
     rat_str,
 )
 from jacsum import identities
@@ -229,6 +230,26 @@ def test_step_2_2_matches_exact_fraction_form():
             lhs == rhs, lhs, rhs, note, n >= 3
         ), n
         assert type(r.lhs) is Fraction and type(r.rhs) is Fraction
+
+
+def test_step_2_2_reduced_pair_equals_the_full_gcd_value():
+    # step2.2 reduces its common value R/D by g = gcd(R mod 9, D mod 9, 9)
+    # alone: the pair must be R/D in lowest terms, g in {1, 3, 9}, g = 1
+    # unless 3 divides n - 1, and the value the oracle's
+    J, seen = jacobsthal_range(0, 2 * 2048 + 2), set()
+    for n, _, holds, lhs, rhs, _ in identities._step_2_2(J, range(3, 2049)):
+        a, b, c, d = J[n - 1], J[n], J[n + 1], J[n + 2]
+        denom = a * b**2 * c**2 * d
+        value = Fraction((-1) ** (n - 1) * J[2 * n + 1] * 2 ** (n - 1), denom)
+        assert holds and lhs is rhs, n
+        p, q = rhs
+        assert (p, q) == (value.numerator, value.denominator), n
+        g, rest = divmod(denom, q)
+        assert rest == 0 and g in (1, 3, 9), n
+        assert g == 1 or (n - 1) % 3 == 0, n
+        assert oracles.step_2_2_sides(n) == (value, value), n
+        seen.add(g)
+    assert seen == {1, 3, 9}
 
 
 def test_cassini_sweep_matches_single_checks_and_closed_form():
