@@ -52,7 +52,7 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from .identities import _catalog
-from .intervals import _EXACT, _INTEGER, _shown
+from .intervals import _EXACT, _INTEGER, _parse_rat, _shown
 from .report import (
     ReportRow,
     _identity_texts,
@@ -105,12 +105,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _integer(text: str) -> int:
-    """Argument type: an integer of any length, parsed exactly.  Decimal
-    parses digits whatever the int-to-str digit limit, and int() of a
-    Decimal is not bound by it either."""
+    """Argument type: an integer of any length, parsed exactly.  Its text,
+    checked against `intervals._INTEGER`, is read by `intervals._parse_rat`,
+    which reads digits whatever the int-to-str digit limit."""
     if not _INTEGER.fullmatch(text):
         raise argparse.ArgumentTypeError(f"not an integer: {_shown(text)}")
-    return int(Decimal(text))
+    return _parse_rat(text).numerator
 
 
 def _positive_int(text: str) -> int:

@@ -6,6 +6,15 @@ decides floors, ceilings and bound tests by integer division and
 cross-multiplication, with no gcd.  Every comparison on a decision path
 is exact: no floating point enters any verdict.
 
+The module owns the text of exact numbers.  `int_str` writes an integer
+whatever the interpreter's int-to-str digit limit; `_ratio_str` writes a
+lowest-terms num/den as "p/q", or "p" when q = 1.  It writes every
+enclosure endpoint, width and identity side in a report and every
+rational an error message quotes, through `rat_str`, `_shown`,
+`series._dyadic_str` and `report._side_text`.  `_parse_rat` reads such
+text back, and `_approx_decimal` writes a rational's six-place decimal
+for plain reports.
+
 `_Record` is the small base of jacsum's records, `RatInterval` among
 them: slotted classes that compare, hash, print and pickle field by field.
 Its `__init__` is the one store of a record's fields; a record's own
@@ -18,7 +27,7 @@ import decimal
 import math
 import re
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Union
 
 __all__ = [
     "NotInvertibleError",
@@ -92,6 +101,13 @@ def int_str(value: int) -> str:
         return sign + str(convert(value))
 
 
+def _ratio_str(num: int, den: int, write: Callable[[int], str] = int_str) -> str:
+    """num/den, in lowest terms with den >= 1, as "p/q", "/q" left out when
+    den = 1: the one rule of jacsum's exact-number text.  Each integer is
+    written by `write`."""
+    return write(num) if den == 1 else f"{write(num)}/{write(den)}"
+
+
 # Longest value an error message quotes whole; a longer one is shown by its
 # first _ECHO_CHARS characters and its length.
 _ECHO_CHARS = 20
@@ -111,8 +127,7 @@ def _shown(value: int | Fraction | str) -> str:
     such as a command-line argument, is quoted with repr().
     """
     if isinstance(value, Fraction):
-        num = _shown(value.numerator)
-        return num if value.denominator == 1 else f"{num}/{_shown(value.denominator)}"
+        return _ratio_str(value.numerator, value.denominator, _shown)
     if isinstance(value, int):
         # 30102999 / 10^8 < log10(2), so 10^drop <= |value|: at least
         # _ECHO_CHARS digits are left, and few more than that
@@ -136,8 +151,23 @@ def rat_str(value: RatLike) -> str:
     if type(value) is int:
         return int_str(value)
     q = Fraction(value)
-    num = int_str(q.numerator)
-    return num if q.denominator == 1 else f"{num}/{int_str(q.denominator)}"
+    return _ratio_str(q.numerator, q.denominator)
+
+
+def _parse_rat(text: str) -> Fraction:
+    """Inverse of `rat_str`.  Decimal parses digits whatever the int-to-str
+    digit limit, and int() of a Decimal is not bound by it either."""
+    return Fraction(*(int(decimal.Decimal(part)) for part in text.split("/")))
+
+
+def _approx_decimal(q: Fraction) -> str:
+    """Deterministic decimal rendering for plain output (no float), rounded
+    to six places."""
+    sign = "-" if q < 0 else ""
+    q = abs(q)
+    scaled = math.floor(q * 10**6 + Fraction(1, 2))
+    whole, frac = divmod(scaled, 10**6)
+    return f"{sign}{whole}.{frac:06d}"
 
 
 def _field_repr(value: object) -> str:

@@ -15,11 +15,12 @@ written as `formatters[row.kind](*row.payload.values())`.  A JSON
 formatter writes, key for key, what `json.dumps(row.payload,
 separators=(",", ":"))` writes; a CSV formatter, what
 `csv.writer(lineterminator="\n")` writes.  Rational text (digits, "-" and
-"/", from `rat_str`, or from `Enclosure.as_payload`, which writes an
-endpoint's integers as `rat_str` would write its value), integers, and
-the closed status and family values need no escaping and are written as
-they are; only free text (identity, theorem and variant names, relations,
-notes) is escaped, through `_json_str` or `_csv_str`.
+"/", all of it made by `intervals._ratio_str`, through `rat_str`,
+`Enclosure.as_payload` or an identity side), integers, and the closed
+status and family values need no escaping and are written as they are;
+only free text (identity, theorem and variant names, relations, notes)
+is escaped, through `_json_str` or `_csv_str`.  The plain `sum` row's
+midpoint reads its endpoints back with `intervals._parse_rat`.
 
 The identity formatters are entry templates, `_identity_<format>(identity,
 relation)`, which make the constant text of one catalog entry once and
@@ -46,16 +47,15 @@ from __future__ import annotations
 
 import io
 import json
-import math
 import re
 from collections.abc import Callable, Iterable, Iterator
-from decimal import Decimal
-from fractions import Fraction
 from typing import TYPE_CHECKING, TextIO
 
-from .intervals import _Record, int_str, rat_str
+from .intervals import _Record, _approx_decimal, _parse_rat, _ratio_str, int_str, rat_str
 
 if TYPE_CHECKING:  # annotations only: importing the report loads no other layer
+    from fractions import Fraction
+
     from .identities import IdentityResult
     from .series import Enclosure, SeriesSpec
     from .theorems import Verdict
@@ -169,22 +169,6 @@ def verdict_row(v: Verdict) -> ReportRow:
             "note": v.note,
         },
     )
-
-
-def _approx_decimal(q: Fraction) -> str:
-    """Deterministic decimal rendering for plain output (no float), rounded
-    to six places."""
-    sign = "-" if q < 0 else ""
-    q = abs(q)
-    scaled = math.floor(q * 10**6 + Fraction(1, 2))
-    whole, frac = divmod(scaled, 10**6)
-    return f"{sign}{whole}.{frac:06d}"
-
-
-def _parse_rat(text: str) -> Fraction:
-    """Inverse of `rat_str`.  Decimal parses digits whatever the int-to-str
-    digit limit, and int() of a Decimal is not bound by it either."""
-    return Fraction(*(int(Decimal(part)) for part in text.split("/")))
 
 
 # a str as a JSON string literal: the C function JSONEncoder().encode calls
@@ -360,9 +344,7 @@ def _side_text(side) -> str:
     """A side's text as `rat_str` writes its value: the side is an int, a
     `Fraction` or step2.2's reduced pair (p, q), q > 1, written as "p/q"
     with no gcd taken."""
-    if type(side) is tuple:
-        return f"{int_str(side[0])}/{int_str(side[1])}"
-    return rat_str(side)
+    return _ratio_str(*side) if type(side) is tuple else rat_str(side)
 
 
 def _identity_texts(parts: Iterable[tuple], fmt: str) -> Iterator[tuple[str, str]]:

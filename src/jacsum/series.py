@@ -99,7 +99,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterator, TypeVar
 
-from .intervals import RatInterval, Reciprocal, _Record, _shown, int_str
+from .intervals import RatInterval, Reciprocal, _Record, _ratio_str, _shown
 from .sequence import jacobsthal as J
 
 __all__ = [
@@ -207,10 +207,10 @@ def _zeros(m: int, p: int) -> int:
 
 def _dyadic_str(m: int, p: int) -> str:
     """m / 2^p as `rat_str` writes it, with no `Fraction` built and no gcd:
-    the trailing zero bits of m are shifted out of m and 2^p."""
+    the trailing zero bits of m are shifted out of m and 2^p, and the
+    lowest-terms pair is written by `intervals._ratio_str`."""
     t = _zeros(m, p)
-    num = int_str(m >> t)
-    return num if t == p else f"{num}/{int_str(1 << (p - t))}"
+    return _ratio_str(m >> t, 1 << (p - t))
 
 
 class Enclosure(_Record):

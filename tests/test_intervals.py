@@ -18,7 +18,8 @@ from jacsum import (
     interval_reciprocal,
     rat_str,
 )
-from jacsum.intervals import _shown, int_str
+from jacsum.intervals import _parse_rat, _ratio_str, _shown, int_str
+from jacsum.series import _dyadic_str
 
 F = Fraction
 
@@ -189,6 +190,36 @@ def test_int_str_equals_str_from_the_digit_limit_to_a_million_bits():
     values += [v, -v, 1 << 262_200, (1 << 262_200) - 1, 10**78_929, -(10**301_029 - 1)]
     assert max(v.bit_length() for v in values) == 999_997  # 10^301029 - 1
     assert _int_str_mismatches(values) == []
+
+
+@_needs_digit_limit
+def test_ratio_text_is_str_and_reads_back_under_any_digit_limit():
+    # integers on each of int_str's paths under the default limit: str() (to
+    # 4,300 digits), 10^500 at a time (to 2^15 bits) and split in halves
+    ints = [1, 7, 10**30 + 1, 3**5000, 7 * 10**4300 + 3, 11**9000, 13**9000, 2**40000 - 1]
+    assert [v.bit_length() > 1 << 15 for v in ints[-3:]] == [False, True, True]
+    ratios = [F(sign * num, den) for num in [0, *ints] for den in ints for sign in (1, -1)]
+    dyadic = [(5, 0), (-12, 2), (3**5000, 100), (-(11**9000) << 7, 20000),
+              (13**9000, 40000), (1 << 40000, 40000)]
+    values = ratios + [F(m, 1 << p) for m, p in dyadic]
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        want = [str(q) for q in values]
+        for limit in (sys.int_info.default_max_str_digits, 640):
+            sys.set_int_max_str_digits(limit)
+            written = [_ratio_str(q.numerator, q.denominator) for q in ratios]
+            written += [_dyadic_str(m, p) for m, p in dyadic]
+            wrong = [i for i, q in enumerate(values)
+                     if not written[i] == rat_str(q) == want[i] or _parse_rat(want[i]) != q]
+            assert wrong == [], limit
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_shown_writes_long_rationals_by_their_leading_digits():
+    assert _shown(F(-10**30 - 1, 7)) == "-10000000000000000000... (31 digits)/7"
+    assert _shown(F(5, 10**45 + 3)) == "5/10000000000000000000... (46 digits)"
 
 
 @st.composite

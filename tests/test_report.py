@@ -11,8 +11,8 @@ from fractions import Fraction
 import pytest
 
 from jacsum import (
-    IdentityResult, SeriesFamily, SeriesSpec, Status, Verdict, enclose_sum, identity_sweep,
-    verify_range,
+    Enclosure, IdentityResult, SeriesFamily, SeriesSpec, Status, Verdict, enclose_sum,
+    identity_sweep, verify_range,
 )
 from jacsum import cli, jacobsthal, jacobsthal_poly
 from jacsum.identities import iter_identities
@@ -362,3 +362,14 @@ def test_deep_plain_sum_reports_match_the_cli_under_the_default_limit(family, st
 def test_plain_midpoint_reads_back_what_rat_str_wrote(text):
     with _default_digit_limit():
         assert rat_str(_parse_rat(text)) == text
+
+
+@pytest.mark.parametrize("family, lo, hi, p, midpoint", [
+    ("recip", 1, 3, 8, "0.007813"),  # 0.0078125: a tie rounds up
+    ("alt-recip", -3, -1, 8, "-0.007813"),  # and away from zero when negative
+    ("alt-recip", -3, 1, 40, "-0.000000"),  # -2^-40 rounds to zero and keeps its sign
+])
+def test_plain_sum_midpoint_rounds_to_six_places(family, lo, hi, p, midpoint):
+    enc = Enclosure(SeriesSpec(family, 3), lo, hi, p, 4)
+    text = emit_report([sum_row(enc.spec, enc, Fraction(1), True)], "plain", "sum")
+    assert f"] ~ {midpoint} (terms to 4," in text
