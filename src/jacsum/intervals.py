@@ -12,8 +12,8 @@ lowest-terms num/den as "p/q", or "p" when q = 1.  It writes every
 enclosure endpoint, width and identity side in a report and every
 rational an error message quotes, through `rat_str`, `_shown`,
 `series._dyadic_str` and `report._side_text`.  `_parse_rat` reads such
-text back, and `_approx_decimal` writes a rational's six-place decimal
-for plain reports.
+text back and refuses any other text, and `_approx_decimal` writes a
+rational's six-place decimal for plain reports.
 
 `_Record` is the small base of jacsum's records, `RatInterval` among
 them: slotted classes that compare, hash, print and pickle field by field.
@@ -154,9 +154,16 @@ def rat_str(value: RatLike) -> str:
     return _ratio_str(q.numerator, q.denominator)
 
 
+# The text `_ratio_str` writes: "p" or "p/q", q > 0
+_RATIO = re.compile(r"[+-]?\d+(/0*[1-9]\d*)?")
+
+
 def _parse_rat(text: str) -> Fraction:
-    """Inverse of `rat_str`.  Decimal parses digits whatever the int-to-str
-    digit limit, and int() of a Decimal is not bound by it either."""
+    """Inverse of `rat_str`: reads "p" or "p/q" with q > 0 and raises
+    ValueError for any other text.  Decimal parses digits whatever the
+    int-to-str digit limit, and int() of a Decimal is not bound by it either."""
+    if not _RATIO.fullmatch(text):
+        raise ValueError(f"not a rational p/q: {_shown(text)}")
     return Fraction(*(int(decimal.Decimal(part)) for part in text.split("/")))
 
 

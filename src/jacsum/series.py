@@ -58,10 +58,7 @@ counted over the O(sqrt(p)) blocks of k that share m.  So a pass costs
 O(p / k0) operations on p-bit integers plus O(sqrt(p)) small steps,
 where the per-term long division cost O(p k) bit operations for every
 term, O(p K^2) per pass.  Terms below k0 are still divided one by one;
-their divisors have at most e * isqrt(p) bits.  A pass that would expand
-no more than _DIVISIONS_PER_STEP terms per geometric sum, such as an
-early pass of a small start, divides every term instead, because there
-the divisions are cheaper.
+their divisors have at most e * isqrt(p) bits.
 
 Refinement doubles K from start+8 until a width or decision goal is met,
 capped at K <= start + max(4096, 4n).  The cap guarantees termination
@@ -122,11 +119,6 @@ MAX_EXTRA_TERMS = 4096
 # extra bits of the dyadic grid beyond e*K: the rounding error of K terms,
 # at most K * 2^-p, stays far below the tail width of about 2^-(e*K)
 GUARD_BITS = 32
-# The expansion of the terms k0..K takes about p // k0 geometric sums and as
-# many blocks; each step costs about five divisions of the small passes
-# (CPython 3.11, p < 300 bits).  A pass expands only when it replaces more
-# divisions than that; otherwise it divides every term.
-_DIVISIONS_PER_STEP = 5
 
 
 class NeedMoreTermsError(ValueError):
@@ -325,16 +317,13 @@ def _dyadic_bounds(spec: SeriesSpec, last: int) -> tuple[int, int, int]:
     the rounded first omitted term (alternating).  Terms below
     k0 = max(start, isqrt(p)) are divided out one by one; the rest come
     from `_lambert_floors`, and for them (k >= 5, J(k) > 1) the ceiling
-    is the floor plus one.  A pass with too few terms from k0 on divides
-    them all.
+    is the floor plus one.
     """
     power = 2 if spec.family.squared else 1
     p = power * last + GUARD_BITS
     one = 1 << p
     alternating = spec.family.alternating
     k0 = max(spec.start, math.isqrt(p))  # p >= 33, so k0 >= 5
-    if last - k0 + 1 <= _DIVISIONS_PER_STEP * (p // k0):
-        k0 = last + 1  # too few terms to pay for the expansion's steps
     lo = hi = 0
     for k in range(spec.start, min(k0, last + 1)):
         q, r = divmod(one, J(k) ** power)

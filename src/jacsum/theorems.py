@@ -25,21 +25,38 @@ and the notes carry the evidence; nothing is reconciled silently.
 
 Every claim reading is one row of the table `_CLAIMS`: the theorem id and
 variant, the series family, the lowest index and the parity the claim is
-stated for, the integer it compares against (`expected(n)`), a judge that
-decides the claim from the reciprocal of a sum enclosure, and the note for
-rows left undecided.  A judge gets that reciprocal as an
-`intervals.Reciprocal`, the exact interval [2^p/hi, 2^p/lo] of the
-enclosure's integers, and decides floors, ceilings and bound tests on it
-in integers.  The verdict keeps the enclosure of the round that settles
-it as that round's integers, and the report writes them as they are, so
-no `Fraction` is made for a verdict unless a caller reads its
+stated for, the integer it compares against (E = `expected(n)`), and its
+target for 1/S, the inverse of the series limit, as data: the target's
+two integer ends (lo, hi) as a function of n and E, either end possibly
+absent, a bracket per end for open or closed, an optional rounding
+(floor or ceil), and the note templates per outcome.
+
+    reading                      target for 1/S              rounding
+    2.1                          (J(n-2), 4(J(n-2)+1))        -
+    2.2 stated, 3.2              (-inf, E+1)                  floor
+    2.2 proof-implied, n = 1     [0, 1)                       floor
+    2.2 proof-implied, n >= 3    (J(n-1)J(n), inf)            -
+    3.1 proof-implied            (E, E+1)                     floor
+    3.1 stated                   [E, E+1)                     floor
+    3.3                          (-inf, E]                    ceil
+
+One judge decides every reading.  It gets the reciprocal of a sum
+enclosure as an `intervals.Reciprocal`, the exact interval [2^p/hi,
+2^p/lo] of the enclosure's integers, and settles verified when that
+interval lies wholly inside the target and refuted when it lies wholly
+outside; a reading with a rounding settles only once the floor or
+ceiling is decided, which becomes the verdict's `decided`.  All tests
+are in integers.  The verdict keeps the enclosure of the round that
+settles it as that round's integers, and the report writes them as they
+are, so no `Fraction` is made for a verdict unless a caller reads its
 `enclosure.interval`.  A claim's rows appear in the
 order its verifier returns them.  All rows run through the one refinement
 loop, `series.refine_inverse`, which refines the sum until the judge
 settles or the `max_terms` budget runs out; the public verifiers are thin
 views of the table.  The table is also the only statement of which
 indices a claim covers: `verify_range` runs every index of the requested
-parity through it and drops the readings that answer not-applicable.  It
+parity that some reading covers through it and drops the readings that
+answer not-applicable.  It
 walks the indices in ascending order and puts each index's readings in
 variant order, so a sweep comes out in (n, variant) order by
 construction, never by sorting it.
@@ -55,7 +72,6 @@ from __future__ import annotations
 
 import warnings
 from enum import Enum
-from functools import partial
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
@@ -104,10 +120,69 @@ class Verdict(_Record):
                          discrepancy, note)
 
 
-# A judge gets (n, expected, reciprocal interval) and returns
-# (status, decided, note) once the claim is settled on the whole interval,
-# or None to keep refining.
-_Judge = Callable[[int, "int | None", Reciprocal], "tuple[Status, int | None, str] | None"]
+# An end's tests, (1/S on the target's side of it, 1/S wholly past it), by its
+# bracket: a lower end closed ("[") or open ("("), an upper end closed ("]") or open (")")
+_ENDS = {"[": (Reciprocal.at_least, Reciprocal.below), "(": (Reciprocal.above, Reciprocal.at_most),
+         "]": (Reciprocal.at_most, Reciprocal.above), ")": (Reciprocal.below, Reciprocal.at_least)}
+
+
+class _Texts(dict):
+    """The integers a note names, each written by `int_str` only if the note
+    reads it: for a note naming an integer too long for str()."""
+
+    def __getitem__(self, key: str) -> str:
+        return int_str(dict.__getitem__(self, key))
+
+
+def _target(left: str, right: str, rounding: str | None, verified: str, refuted: str,
+            undecided: str, suffix: Callable[[int], str] = lambda n: "") -> Callable:
+    """A reading's target for 1/S, the interval `left`lo, hi`right` between
+    ends lo and hi, an end of None absent: the function of (n, E, lo, hi),
+    E the reading's expected value, that gives the reading's judge at n.
+    Its tests are chosen once per reading, not per index.
+
+    The judge settles verified when the reciprocal interval of a round
+    lies wholly inside the target and refuted when it lies wholly outside
+    it; otherwise it returns None to keep refining.  A reading with a
+    `rounding`, "floor" or "ceil" of 1/S, settles only once that is
+    decided, and it is the verdict's `decided`.  Given None in place of an
+    interval, as when the refinement cap came first, the judge returns the
+    undecided outcome.  It returns (status, decided, note), the note being
+    the outcome's template formatted with d (decided), e (E), lo and hi,
+    then `suffix(n)`.
+    """
+    low_in, low_out = _ENDS[left]
+    high_in, high_out = _ENDS[right]
+    decide = {"floor": Reciprocal.floor, "ceil": Reciprocal.ceil, None: None}[rounding]
+
+    def at(n: int, e: int | None, lo: int | None, hi: int | None) -> Callable:
+        def judge(view: Reciprocal | None) -> tuple[Status, int | None, str] | None:
+            decided = None
+            if view is None:
+                status, note = Status.UNDECIDED, undecided
+            elif decide is not None and (decided := decide(view)) is None:
+                return None
+            elif (lo is None or low_in(view, lo)) and (hi is None or high_in(view, hi)):
+                status, note = Status.VERIFIED, verified
+            elif lo is not None and low_out(view, lo) or hi is not None and high_out(view, hi):
+                status, note = Status.REFUTED, refuted
+            else:
+                return None
+            ints = {"d": decided, "e": e, "lo": lo, "hi": hi}
+            try:
+                note = note.format_map(ints)
+            except ValueError:  # an integer past the int-to-str digit limit
+                note = note.format_map(_Texts(ints))
+            return status, decided, note + suffix(n)
+
+        return judge
+
+    return at
+
+
+def _since(n0: int, before: Callable, after: Callable) -> Callable:
+    """The target `before` below index n0 and `after` from n0 on."""
+    return lambda n, *args: (before if n < n0 else after)(n, *args)
 
 
 class _Claim(NamedTuple):
@@ -117,119 +192,65 @@ class _Claim(NamedTuple):
     min_n: int
     parity: str  # "any", "even" or "odd"
     expected: Callable[[int], int | None]
-    judge: _Judge
-    undecided: Callable[[int], str]
-
-
-def _settled(ok: bool) -> Status:
-    return Status.VERIFIED if ok else Status.REFUTED
-
-
-def _rounding(
-    mode: str, rule: str, note: str, suffix: Callable[[int], str] = lambda n: ""
-) -> _Judge:
-    """Judge for `floor`/`ceil` of the inverse compared by `rule` ("<=" or "==").
-
-    `note` is formatted with the decided value, the relation found and the
-    expected value; `suffix(n)` is appended to it.
-    """
-
-    def judge(n: int, expected: int, inverse: Reciprocal):
-        decided = inverse.floor() if mode == "floor" else inverse.ceil()
-        if decided is None:
-            return None
-        ok = decided <= expected if rule == "<=" else decided == expected
-        op = rule if ok else {"<=": ">", "==": "!="}[rule]
-        text = note.format(int_str(decided), op, int_str(expected))
-        return _settled(ok), decided, text + suffix(n)
-
-    return judge
-
-
-def _judge_2_1(n: int, expected: int | None, inverse: Reciprocal):
-    lo_bound, hi_bound = J(n - 2), 4 * (J(n - 2) + 1)
-    if inverse.above(lo_bound) and inverse.below(hi_bound):
-        status, relation = Status.VERIFIED, "within"
-    elif inverse.at_most(lo_bound) or inverse.at_least(hi_bound):
-        status, relation = Status.REFUTED, "escapes"
-    else:
-        return None
-    return status, None, f"inverse {relation} ({int_str(lo_bound)}, {int_str(hi_bound)})"
-
-
-_FLOOR_IS_ZERO = _rounding("floor", "==", "floor must equal J(0)J(1) = 0 exactly")
-
-
-def _judge_2_2_proof(n: int, expected: int | None, inverse: Reciprocal):
-    # n = 1: J(0)J(1) = 0, so the floor itself must be 0.  n >= 3: the sum
-    # is positive, so sum < 1/(J(n-1)J(n)) is exactly inverse > J(n-1)J(n).
-    if n == 1:
-        return _FLOOR_IS_ZERO(n, expected, inverse)
-    bound = J(n - 1) * J(n)
-    if inverse.above(bound):
-        return Status.VERIFIED, None, f"sum < 1/(J(n-1)J(n)) = 1/{int_str(bound)}"
-    if inverse.at_most(bound):
-        return Status.REFUTED, None, f"sum >= 1/(J(n-1)J(n)) = 1/{int_str(bound)}"
-    return None
-
-
-def _judge_3_1_proof(n: int, expected: int, inverse: Reciprocal):
-    # the derivation's strict bracket expected < inverse < expected + 1
-    decided = inverse.floor()
-    if decided is not None and decided != expected:
-        note = f"decided floor {int_str(decided)} != 2^(n-1)-1 = {int_str(expected)}"
-        return Status.REFUTED, decided, note
-    if decided == expected and inverse.above(expected) and inverse.below(expected + 1):
-        note = f"inverse strictly inside ({int_str(expected)}, {int_str(expected + 1)})"
-        return Status.VERIFIED, decided, note
-    return None
+    ends: Callable[[int, int | None], tuple[int | None, int | None]]  # (lo, hi) from n and E
+    target: Callable[..., Callable[[Reciprocal | None], tuple | None]]
 
 
 def _coverage_3_3(n: int) -> str:
     return "" if n >= 5 and n % 2 == 0 else "; outside derivation range (even n >= 5)"
 
 
-def _pow2_less_one(n: int) -> int:
-    return 2 ** (n - 1) - 1
-
-
 _CAP_HIT = "refinement cap hit"
 _FLOOR_OPEN = "floor undecided at refinement cap"
+_ZERO = "floor must equal J(0)J(1) = 0 exactly"
 
 
+# Each reading's expected value E, the ends of its target for 1/S, and its target
 _CLAIMS = (
-    _Claim("2.1", "stated", SeriesFamily.RECIP, 2, "any",
-           lambda n: None, _judge_2_1, lambda n: _CAP_HIT),
-    _Claim("2.2", "stated", SeriesFamily.RECIP_SQUARED, 1, "odd",
-           lambda n: J(n - 1) * J(n),
-           _rounding("floor", "<=", "decided floor {} {} J(n-1)J(n) = {}"),
-           lambda n: _FLOOR_OPEN),
+    _Claim("2.1", "stated", SeriesFamily.RECIP, 2, "any", lambda n: None,
+           lambda n, e: (J(n - 2), 4 * (J(n - 2) + 1)),
+           _target("(", ")", None, "inverse within ({lo}, {hi})", "inverse escapes ({lo}, {hi})",
+                   _CAP_HIT)),
+    _Claim("2.2", "stated", SeriesFamily.RECIP_SQUARED, 1, "odd", lambda n: J(n - 1) * J(n),
+           lambda n, e: (None, e + 1),
+           _target("(", ")", "floor", "decided floor {d} <= J(n-1)J(n) = {e}",
+                   "decided floor {d} > J(n-1)J(n) = {e}", _FLOOR_OPEN)),
+    # n = 1: J(0)J(1) = 0, so the floor itself must be 0.  n >= 3: the sum
+    # is positive, so sum < 1/(J(n-1)J(n)) is exactly 1/S > J(n-1)J(n).
     _Claim("2.2", "proof-implied", SeriesFamily.RECIP_SQUARED, 1, "odd",
-           lambda n: 0 if n == 1 else None, _judge_2_2_proof,
-           lambda n: _FLOOR_OPEN if n == 1 else _CAP_HIT),
-    _Claim("3.1", "proof-implied", SeriesFamily.ALT_RECIP, 1, "even",
-           _pow2_less_one, _judge_3_1_proof, lambda n: _CAP_HIT),
-    _Claim("3.1", "stated", SeriesFamily.ALT_RECIP_SQUARED, 1, "even",
-           _pow2_less_one, _rounding("floor", "==", "squared-series floor {} {} {}"),
-           lambda n: _FLOOR_OPEN),
-    _Claim("3.2", "stated", SeriesFamily.ALT_RECIP, 1, "odd",
-           lambda n: -(2 ** (n - 1) + 1),
-           _rounding("floor", "<=", "decided floor {} {} -(2^(n-1)+1) = {}"),
-           lambda n: _FLOOR_OPEN),
+           lambda n: 0 if n == 1 else None,
+           lambda n, e: (0, 1) if n == 1 else (J(n - 1) * J(n), None),
+           _since(3, _target("[", ")", "floor", _ZERO, _ZERO, _FLOOR_OPEN),
+                  _target("(", ")", None, "sum < 1/(J(n-1)J(n)) = 1/{lo}",
+                          "sum >= 1/(J(n-1)J(n)) = 1/{lo}", _CAP_HIT))),
+    # the derivation's strict bracket E < 1/S < E + 1
+    _Claim("3.1", "proof-implied", SeriesFamily.ALT_RECIP, 1, "even", lambda n: 2 ** (n - 1) - 1,
+           lambda n, e: (e, e + 1),
+           _target("(", ")", "floor", "inverse strictly inside ({lo}, {hi})",
+                   "decided floor {d} != 2^(n-1)-1 = {e}", _CAP_HIT)),
+    _Claim("3.1", "stated", SeriesFamily.ALT_RECIP_SQUARED, 1, "even", lambda n: 2 ** (n - 1) - 1,
+           lambda n, e: (e, e + 1),
+           _target("[", ")", "floor", "squared-series floor {d} == {e}",
+                   "squared-series floor {d} != {e}", _FLOOR_OPEN)),
+    _Claim("3.2", "stated", SeriesFamily.ALT_RECIP, 1, "odd", lambda n: -(2 ** (n - 1) + 1),
+           lambda n, e: (None, e + 1),
+           _target("(", ")", "floor", "decided floor {d} <= -(2^(n-1)+1) = {e}",
+                   "decided floor {d} > -(2^(n-1)+1) = {e}", _FLOOR_OPEN)),
     _Claim("3.3", "stated", SeriesFamily.ALT_RECIP_SQUARED, 1, "any",
            lambda n: J(n - 1) ** 2 + J(n) ** 2 - 1,
-           _rounding("ceil", "<=", "decided ceiling {} {} {}", _coverage_3_3),
-           lambda n: "ceiling undecided at refinement cap" + _coverage_3_3(n)),
+           lambda n, e: (None, e),
+           _target("(", "]", "ceil", "decided ceiling {d} <= {e}", "decided ceiling {d} > {e}",
+                   "ceiling undecided at refinement cap", _coverage_3_3)),
 )
 
 THEOREM_IDS = tuple(dict.fromkeys(c.theorem for c in _CLAIMS))
+_READINGS = {t: tuple(c for c in _CLAIMS if c.theorem == t) for t in THEOREM_IDS}
 
 
-def _claims(theorem: str) -> list[_Claim]:
-    claims = [c for c in _CLAIMS if c.theorem == theorem]
-    if not claims:
+def _claims(theorem: str) -> tuple[_Claim, ...]:
+    if theorem not in _READINGS:
         raise ValueError(f"unknown theorem id {theorem!r}; expected one of {THEOREM_IDS}")
-    return claims
+    return _READINGS[theorem]
 
 
 def _has_parity(n: int, parity: str) -> bool:
@@ -251,10 +272,10 @@ def _verdicts(theorem: str, n: int, max_terms: int | None) -> tuple[Verdict, ...
             out.append(Verdict(theorem, n, Status.NOT_APPLICABLE, c.variant, note=note))
             continue
         expected = c.expected(n)
-        judged, _, enc = refine_inverse(
-            SeriesSpec(c.family, n), partial(c.judge, n, expected), max_terms=max_terms
-        )
-        status, decided, note = judged or (Status.UNDECIDED, None, c.undecided(n))
+        judge = c.target(n, expected, *c.ends(n, expected))
+        # c.family is a SeriesFamily and n >= c.min_n >= 1: nothing to check
+        judged, _, enc = refine_inverse(SeriesSpec._of(c.family, n), judge, max_terms=max_terms)
+        status, decided, note = judged or judge(None)
         out.append(Verdict(theorem, n, status, c.variant, decided, expected, enc, note=note))
     if {Status.VERIFIED, Status.REFUTED} <= {v.status for v in out}:
         stamp = "variants disagree: " + "; ".join(f"{v.variant} {v.status.value}" for v in out)
@@ -331,8 +352,8 @@ def verify_range(
 
     `parity` further filters the sweep ("any", "even", "odd"); indices the
     claim itself does not cover are skipped rather than reported: each
-    index is run through the claim table, and readings that answer
-    not-applicable there are dropped.  `variant` selects which verdict
+    index that some reading covers is run through the claim table, and
+    readings that answer not-applicable there are dropped.  `variant` selects which verdict
     rows are returned: "default" picks the derivation-established variant,
     "both" keeps the full pairs.  Output is in (n, variant) order by
     construction: indices ascend, and each index's readings are put in
@@ -349,6 +370,7 @@ def verify_range(
 
     out = [
         v for n in range(n_lo, n_hi + 1) if _has_parity(n, parity)
+        and any(n >= c.min_n and _has_parity(n, c.parity) for c in _claims(theorem))
         for v in sorted(_verdicts(theorem, n, max_terms), key=attrgetter("variant"))
         if v.status is not Status.NOT_APPLICABLE and variant in ("both", v.variant)
     ]

@@ -217,6 +217,20 @@ def test_ratio_text_is_str_and_reads_back_under_any_digit_limit():
         sys.set_int_max_str_digits(old)
 
 
+@pytest.mark.parametrize("text", [
+    "1.5/2", "1e3", " 12 ", "12\n", "1/2/3", "1/0", "-3/00", "inf", "nan", "", "/", "1/", "/2",
+    "+", "1/-2", "1/+2", "0x10", "1_000",
+])
+def test_ratio_reader_refuses_text_the_writer_never_writes(text):
+    with pytest.raises(ValueError, match="not a rational p/q"):
+        _parse_rat(text)
+
+
+def test_ratio_reader_reads_every_form_the_writer_writes():
+    assert [_parse_rat(t) for t in ("0", "-0", "+7", "-12/5", "3/01", "10/4")] == [
+        0, 0, 7, F(-12, 5), 3, F(5, 2)]
+
+
 def test_shown_writes_long_rationals_by_their_leading_digits():
     assert _shown(F(-10**30 - 1, 7)) == "-10000000000000000000... (31 digits)/7"
     assert _shown(F(5, 10**45 + 3)) == "5/10000000000000000000... (46 digits)"

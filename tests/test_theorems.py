@@ -297,9 +297,10 @@ def test_deep_index_memory_is_linear_and_released():
     assert retained < 64 * 2**10
 
 
-# The judges, fed made-up reciprocal intervals: a claim is settled only when
-# the whole interval is on one side of its bound, and an endpoint touching a
-# strict bound keeps the refinement going.
+# The one judge, reached through a reading's row of the claim table and fed
+# made-up reciprocal intervals: a claim is settled only when the whole
+# interval is on one side of its bound, and an endpoint touching a strict
+# bound keeps the refinement going.
 def _view(lo, hi):
     """The reciprocal interval [l1/l2, h1/h2] as judges get it: [d/b, d/a]
     with d = h1*l1, a = h2*l1 and b = l2*h1."""
@@ -307,8 +308,20 @@ def _view(lo, hi):
     return Reciprocal(h1 * l1, h2 * l1, l2 * h1)
 
 
-def _judged(judge, n, expected, lo, hi):
-    result = judge(n, expected, _view(lo, hi))
+def _reading(theorem, variant):
+    (claim,) = [c for c in theorems._CLAIMS if (c.theorem, c.variant) == (theorem, variant)]
+    return claim
+
+
+def _judge(theorem, variant, n, expected, lo, hi):
+    """(status, decided, note) of the reading's judge at n on [lo, hi], or None."""
+    c = _reading(theorem, variant)
+    assert c.expected(n) == expected
+    return c.target(n, expected, *c.ends(n, expected))(_view(lo, hi))
+
+
+def _judged(theorem, variant, n, expected, lo, hi):
+    result = _judge(theorem, variant, n, expected, lo, hi)
     return None if result is None else result[:2]
 
 
@@ -325,12 +338,12 @@ def _judged(judge, n, expected, lo, hi):
     ("7", "8", None),  # touches 4(J(n-2)+1) from inside
 ])
 def test_judge_2_1_on_made_up_intervals(lo, hi, judged):
-    assert _judged(theorems._judge_2_1, 4, None, lo, hi) == judged
+    assert _judged("2.1", "stated", 4, None, lo, hi) == judged
 
 
 def test_judge_2_1_notes_name_the_bounds():
-    assert theorems._judge_2_1(4, None, _view(9, 10))[2] == "inverse escapes (1, 8)"
-    assert theorems._judge_2_1(4, None, _view(2, 3))[2] == "inverse within (1, 8)"
+    assert _judge("2.1", "stated", 4, None, 9, 10)[2] == "inverse escapes (1, 8)"
+    assert _judge("2.1", "stated", 4, None, 2, 3)[2] == "inverse within (1, 8)"
 
 
 @pytest.mark.parametrize("n, expected, lo, hi, judged", [
@@ -347,11 +360,11 @@ def test_judge_2_1_notes_name_the_bounds():
     (1, 0, "1/2", "3/2", None),  # straddles 1
 ])
 def test_judge_2_2_proof_on_made_up_intervals(n, expected, lo, hi, judged):
-    assert _judged(theorems._judge_2_2_proof, n, expected, lo, hi) == judged
+    assert _judged("2.2", "proof-implied", n, expected, lo, hi) == judged
 
 
 def test_judge_2_2_proof_refutation_note():
-    note = theorems._judge_2_2_proof(3, None, _view(2, 3))[2]
+    note = _judge("2.2", "proof-implied", 3, None, 2, 3)[2]
     assert note == "sum >= 1/(J(n-1)J(n)) = 1/3"
 
 
@@ -367,12 +380,31 @@ def test_judge_2_2_proof_refutation_note():
     ("15/2", "8", None),  # touches 8 from below
 ])
 def test_judge_3_1_proof_on_made_up_intervals(lo, hi, judged):
-    assert _judged(theorems._judge_3_1_proof, 4, 7, lo, hi) == judged
+    assert _judged("3.1", "proof-implied", 4, 7, lo, hi) == judged
 
 
 def test_judge_3_1_proof_refutation_note():
-    note = theorems._judge_3_1_proof(4, 7, _view(F(41, 5), F(17, 2)))[2]
+    note = _judge("3.1", "proof-implied", 4, 7, F(41, 5), F(17, 2))[2]
     assert note == "decided floor 8 != 2^(n-1)-1 = 7"
+
+
+@pytest.mark.parametrize("theorem, variant, n, lo, hi, judged", [
+    # a closed end touched from inside settles: [E, E + 1) and (-inf, E]
+    ("3.1", "stated", 4, "7", "15/2", (Status.VERIFIED, 7)),
+    ("3.1", "stated", 4, "15/2", "8", None),  # floor straddles E + 1
+    ("3.1", "stated", 4, "8", "17/2", (Status.REFUTED, 8)),
+    ("3.3", "stated", 4, "65/2", "33", (Status.VERIFIED, 33)),  # E = 9 + 25 - 1
+    ("3.3", "stated", 4, "33", "67/2", None),  # ceiling straddles E
+    ("3.3", "stated", 4, "67/2", "34", (Status.REFUTED, 34)),
+    # (-inf, E + 1) with a floor: E = J(2)J(3) = 3 and -(2^2 + 1) = -5
+    ("2.2", "stated", 3, "3", "7/2", (Status.VERIFIED, 3)),
+    ("2.2", "stated", 3, "4", "9/2", (Status.REFUTED, 4)),
+    ("3.2", "stated", 3, "-5", "-9/2", (Status.VERIFIED, -5)),
+    ("3.2", "stated", 3, "-4", "-7/2", (Status.REFUTED, -4)),
+])
+def test_rounding_readings_on_made_up_intervals(theorem, variant, n, lo, hi, judged):
+    expected = _reading(theorem, variant).expected(n)
+    assert _judged(theorem, variant, n, expected, lo, hi) == judged
 
 
 def test_index_zero_is_rejected_unless_the_claim_starts_higher():
@@ -380,3 +412,106 @@ def test_index_zero_is_rejected_unless_the_claim_starts_higher():
         verify_thm_3_1(0)
     v = verify_thm_2_1(0)
     assert (v.status, v.note) == (Status.NOT_APPLICABLE, "stated for n >= 2")
+
+
+# --- the targets as data: mutated ends and an independent oracle ---
+
+
+def _outcomes(theorem):
+    return [(v.n, v.variant, v.status, v.decided)
+            for v in verify_range(theorem, 1, 64, variant="both")]
+
+
+def _move_end(monkeypatch, theorem, variant, end, by):
+    """Put in a copy of the claim table whose reading (theorem, variant) has
+    its `end` ("lo" or "hi") moved by `by`, wherever that end is present."""
+    i = 0 if end == "lo" else 1
+
+    def moved(row):
+        def ends(n, e):
+            pair = list(row.ends(n, e))
+            if pair[i] is not None:
+                pair[i] += by
+            return tuple(pair)
+        return row._replace(ends=ends) if (row.theorem, row.variant) == (theorem, variant) else row
+
+    claims = tuple(moved(c) for c in theorems._CLAIMS)
+    monkeypatch.setattr(theorems, "_CLAIMS", claims)
+    monkeypatch.setattr(theorems, "_READINGS", {
+        t: tuple(c for c in claims if c.theorem == t) for t in theorems.THEOREM_IDS
+    })
+
+
+@pytest.mark.parametrize("theorem, variant, end, by, first_n", [
+    ("2.1", "stated", "lo", 1, 2),
+    ("2.2", "stated", "hi", -1, 1),
+    ("2.2", "proof-implied", "lo", 1, 1),  # [1, 1) at n = 1
+    ("2.2", "proof-implied", "hi", -1, 1),  # [0, 0) at n = 1
+    ("3.1", "proof-implied", "lo", 1, 2),
+    ("3.1", "proof-implied", "hi", -1, 2),
+    ("3.1", "stated", "lo", 1, 2),
+    ("3.1", "stated", "hi", -1, 2),
+    ("3.3", "stated", "hi", 1, 2),
+    # 3.2's floor sits one below its bound, so neither move of its one end
+    # changes a verdict at n <= 64
+    ("3.2", "stated", "hi", 1, None),
+    ("3.2", "stated", "hi", -1, None),
+])
+def test_moving_one_end_of_a_target_by_one_changes_a_verdict(
+    monkeypatch, theorem, variant, end, by, first_n
+):
+    before = _outcomes(theorem)
+    _move_end(monkeypatch, theorem, variant, end, by)
+    after = _outcomes(theorem)
+    assert [(n, v) for n, v, *_ in after] == [(n, v) for n, v, *_ in before]
+    changed = [a[0] for a, b in zip(after, before) if a != b]
+    assert (changed[0] if changed else None) == first_n
+
+
+def _oracle_status(inside, outside):
+    assert inside != outside, "oracle bracket too wide; deepen"
+    return Status.VERIFIED if inside else Status.REFUTED
+
+
+def _oracle_outcomes(theorem):
+    """(n, variant, status, decided) over admissible n <= 64, from the oracle,
+    with every target end computed here."""
+    jac, out = oracles.jac, []
+    for n in range(1, 65):
+        if theorem == "2.1" and n >= 2:
+            lo, hi = oracles.sum_bracket("recip", n, 3 * n + 120)
+            a, b = jac(n - 2), 4 * (jac(n - 2) + 1)  # a < 1/S < b
+            out.append((n, "stated", _oracle_status(a < 1 / hi and 1 / lo < b,
+                                                    1 / lo <= a or 1 / hi >= b), None))
+        if theorem == "2.2" and n % 2:
+            e = jac(n - 1) * jac(n)
+            if n == 1:
+                f = oracles.floor_of_inverse("recip-squared", n)
+                out.append((n, "proof-implied", _oracle_status(f == 0, f != 0), f))
+            else:
+                lo, hi = oracles.sum_bracket("recip-squared", n, 3 * n + 120)
+                out.append((n, "proof-implied", _oracle_status(1 / hi > e, 1 / lo <= e), None))
+            f = oracles.floor_of_inverse("recip-squared", n)
+            out.append((n, "stated", _oracle_status(f <= e, f > e), f))
+        if theorem == "3.1" and n % 2 == 0:
+            e = 2 ** (n - 1) - 1
+            lo, hi = oracles.sum_bracket("alt-recip", n, 3 * n + 120)
+            f = oracles.floor_of_inverse("alt-recip", n)
+            inside, outside = e < 1 / hi and 1 / lo < e + 1, 1 / lo <= e or 1 / hi >= e + 1
+            out.append((n, "proof-implied", _oracle_status(inside, outside), f))
+            f = oracles.floor_of_inverse("alt-recip-squared", n)
+            out.append((n, "stated", _oracle_status(f == e, f != e), f))
+        if theorem == "3.2" and n % 2:
+            e = -(2 ** (n - 1) + 1)
+            f = oracles.floor_of_inverse("alt-recip", n)
+            out.append((n, "stated", _oracle_status(f <= e, f > e), f))
+        if theorem == "3.3":
+            e = jac(n - 1) ** 2 + jac(n) ** 2 - 1
+            c = oracles.ceil_of_inverse("alt-recip-squared", n)
+            out.append((n, "stated", _oracle_status(c <= e, c > e), c))
+    return out
+
+
+@pytest.mark.parametrize("theorem", theorems.THEOREM_IDS)
+def test_every_reading_agrees_with_the_oracle(theorem):
+    assert _outcomes(theorem) == _oracle_outcomes(theorem)
