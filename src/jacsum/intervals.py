@@ -112,7 +112,7 @@ def _ratio_str(num: int, den: int, write: Callable[[int], str] = int_str) -> str
 # first _ECHO_CHARS characters and its length.
 _ECHO_CHARS = 20
 
-_INTEGER = re.compile(r"[+-]?\d+")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def _shown(value: int | Fraction | str) -> str:
@@ -154,12 +154,14 @@ def rat_str(value: RatLike) -> str:
     return _ratio_str(q.numerator, q.denominator)
 
 
-# The text `_ratio_str` writes: "p" or "p/q", q > 0
-_RATIO = re.compile(r"[+-]?\d+(/0*[1-9]\d*)?")
+# "p" or "p/q", q > 0, in ASCII digits: the text `_ratio_str` writes, and
+# also a leading "+", leading zeros and a ratio not in lowest terms
+_RATIO = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
 
 
 def _parse_rat(text: str) -> Fraction:
-    """Inverse of `rat_str`: reads "p" or "p/q" with q > 0 and raises
+    """Inverse of `rat_str`: reads text that `_RATIO` matches, such as
+    "-12/5", "+7" (as `cli._integer` passes it) or "10/4", and raises
     ValueError for any other text.  Decimal parses digits whatever the
     int-to-str digit limit, and int() of a Decimal is not bound by it either."""
     if not _RATIO.fullmatch(text):

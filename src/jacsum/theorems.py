@@ -54,9 +54,9 @@ order its verifier returns them.  All rows run through the one refinement
 loop, `series.refine_inverse`, which refines the sum until the judge
 settles or the `max_terms` budget runs out; the public verifiers are thin
 views of the table.  The table is also the only statement of which
-indices a claim covers: `verify_range` runs every index of the requested
-parity that some reading covers through it and drops the readings that
-answer not-applicable.  It
+indices a claim covers, read by `_covers`: `verify_range` runs every
+index of the requested parity that some reading covers through it and
+drops the readings that answer not-applicable.  It
 walks the indices in ascending order and puts each index's readings in
 variant order, so a sweep comes out in (n, variant) order by
 construction, never by sorting it.
@@ -126,14 +126,6 @@ _ENDS = {"[": (Reciprocal.at_least, Reciprocal.below), "(": (Reciprocal.above, R
          "]": (Reciprocal.at_most, Reciprocal.above), ")": (Reciprocal.below, Reciprocal.at_least)}
 
 
-class _Texts(dict):
-    """The integers a note names, each written by `int_str` only if the note
-    reads it: for a note naming an integer too long for str()."""
-
-    def __getitem__(self, key: str) -> str:
-        return int_str(dict.__getitem__(self, key))
-
-
 def _target(left: str, right: str, rounding: str | None, verified: str, refuted: str,
             undecided: str, suffix: Callable[[int], str] = lambda n: "") -> Callable:
     """A reading's target for 1/S, the interval `left`lo, hi`right` between
@@ -172,7 +164,7 @@ def _target(left: str, right: str, rounding: str | None, verified: str, refuted:
             try:
                 note = note.format_map(ints)
             except ValueError:  # an integer past the int-to-str digit limit
-                note = note.format_map(_Texts(ints))
+                note = note.format_map({k: int_str(v) for k, v in ints.items()})
             return status, decided, note + suffix(n)
 
         return judge
@@ -244,39 +236,44 @@ _CLAIMS = (
 )
 
 THEOREM_IDS = tuple(dict.fromkeys(c.theorem for c in _CLAIMS))
-_READINGS = {t: tuple(c for c in _CLAIMS if c.theorem == t) for t in THEOREM_IDS}
 
 
-def _claims(theorem: str) -> tuple[_Claim, ...]:
-    if theorem not in _READINGS:
+def _claims(theorem: str) -> list[_Claim]:
+    claims = [c for c in _CLAIMS if c.theorem == theorem]
+    if not claims:
         raise ValueError(f"unknown theorem id {theorem!r}; expected one of {THEOREM_IDS}")
-    return _READINGS[theorem]
+    return claims
 
 
 def _has_parity(n: int, parity: str) -> bool:
     return parity == "any" or n % 2 == (parity == "odd")
 
 
-def _verdicts(theorem: str, n: int, max_terms: int | None) -> tuple[Verdict, ...]:
-    """Every reading of one claim at n, with disagreeing readings flagged.
+def _covers(c: _Claim, n: int) -> bool:
+    """Whether reading `c` is stated for index n."""
+    return n >= c.min_n and _has_parity(n, c.parity)
+
+
+def _verdicts(claims: list[_Claim], n: int, max_terms: int | None) -> tuple[Verdict, ...]:
+    """Every reading of one claim, its rows `claims`, at n, with disagreeing
+    readings flagged.
 
     n < 1 is rejected, except by a claim stated from a higher index, which
     answers not-applicable below it.
     """
     out = []
-    for c in _claims(theorem):
-        if n < c.min_n or not _has_parity(n, c.parity):
+    for c in claims:
+        if not _covers(c, n):
             if n < 1 and c.min_n == 1:
                 raise ValueError(f"need n >= 1, got {_shown(n)}")
             note = f"stated for n >= {c.min_n}" if n < c.min_n else f"stated for {c.parity} n"
-            out.append(Verdict(theorem, n, Status.NOT_APPLICABLE, c.variant, note=note))
+            out.append(Verdict(c.theorem, n, Status.NOT_APPLICABLE, c.variant, note=note))
             continue
         expected = c.expected(n)
         judge = c.target(n, expected, *c.ends(n, expected))
-        # c.family is a SeriesFamily and n >= c.min_n >= 1: nothing to check
-        judged, _, enc = refine_inverse(SeriesSpec._of(c.family, n), judge, max_terms=max_terms)
+        judged, _, enc = refine_inverse(SeriesSpec(c.family, n), judge, max_terms=max_terms)
         status, decided, note = judged or judge(None)
-        out.append(Verdict(theorem, n, status, c.variant, decided, expected, enc, note=note))
+        out.append(Verdict(c.theorem, n, status, c.variant, decided, expected, enc, note=note))
     if {Status.VERIFIED, Status.REFUTED} <= {v.status for v in out}:
         stamp = "variants disagree: " + "; ".join(f"{v.variant} {v.status.value}" for v in out)
         out = [v._replace(discrepancy=True, note=f"{v.note}; {stamp}" if v.note else stamp)
@@ -293,7 +290,7 @@ def verify_thm_2_1(n: int, *, max_terms: int | None = None) -> Verdict:
     bound 1/(4(J(n-2)+1)) < sum < 1/J(n-2) on the sum side.  n < 2 yields
     not-applicable.
     """
-    return _verdicts("2.1", n, max_terms)[0]
+    return _verdicts(_claims("2.1"), n, max_terms)[0]
 
 
 def verify_thm_2_2(n: int, *, max_terms: int | None = None) -> tuple[Verdict, Verdict]:
@@ -301,7 +298,7 @@ def verify_thm_2_2(n: int, *, max_terms: int | None = None) -> tuple[Verdict, Ve
 
     Returns (stated, proof-implied).  Even n yields not-applicable.
     """
-    return _verdicts("2.2", n, max_terms)
+    return _verdicts(_claims("2.2"), n, max_terms)
 
 
 def verify_thm_3_1(n: int, *, max_terms: int | None = None) -> tuple[Verdict, Verdict]:
@@ -314,12 +311,12 @@ def verify_thm_3_1(n: int, *, max_terms: int | None = None) -> tuple[Verdict, Ve
     to hold on the whole interval; the stated variant decides the same
     floor for the squared alternating sum.  Odd n yields not-applicable.
     """
-    return _verdicts("3.1", n, max_terms)
+    return _verdicts(_claims("3.1"), n, max_terms)
 
 
 def verify_cor_3_2(n: int, *, max_terms: int | None = None) -> Verdict:
     """Floor bound for the unsquared alternating sum at odd n."""
-    return _verdicts("3.2", n, max_terms)[0]
+    return _verdicts(_claims("3.2"), n, max_terms)[0]
 
 
 def verify_thm_3_3(n: int, *, max_terms: int | None = None) -> Verdict:
@@ -330,7 +327,7 @@ def verify_thm_3_3(n: int, *, max_terms: int | None = None) -> Verdict:
     stated for every positive n, so every index gets a verdict and
     verdicts outside the derivation's range are annotated as such.
     """
-    return _verdicts("3.3", n, max_terms)[0]
+    return _verdicts(_claims("3.3"), n, max_terms)[0]
 
 
 def default_variant(theorem: str) -> str:
@@ -365,13 +362,14 @@ def verify_range(
         raise ValueError(f"parity must be any/even/odd, got {parity!r}")
     if variant == "default":
         variant = default_variant(theorem)
-    if variant != "both" and variant not in [c.variant for c in _claims(theorem)]:
+    claims = _claims(theorem)
+    if variant != "both" and variant not in [c.variant for c in claims]:
         raise ValueError(f"theorem {theorem} has no {variant!r} variant")
 
     out = [
-        v for n in range(n_lo, n_hi + 1) if _has_parity(n, parity)
-        and any(n >= c.min_n and _has_parity(n, c.parity) for c in _claims(theorem))
-        for v in sorted(_verdicts(theorem, n, max_terms), key=attrgetter("variant"))
+        v for n in range(n_lo, n_hi + 1)
+        if _has_parity(n, parity) and any(_covers(c, n) for c in claims)
+        for v in sorted(_verdicts(claims, n, max_terms), key=attrgetter("variant"))
         if v.status is not Status.NOT_APPLICABLE and variant in ("both", v.variant)
     ]
     if not out:

@@ -311,7 +311,8 @@ def test_integer_options_are_read_exactly_under_any_digit_limit(text, value):
     assert cli._integer(text) == value
 
 
-@pytest.mark.parametrize("text", ["", "-", "1.0", "1e5", "nan", "0x10", "1 2", "--1"])
+@pytest.mark.parametrize("text", ["", "-", "1.0", "1e5", "nan", "0x10", "1 2", "--1",
+                                  "\u0663", "\uff11\uff12"])
 def test_malformed_integer_options_are_refused(text):
     with pytest.raises(argparse.ArgumentTypeError, match="not an integer"):
         cli._integer(text)

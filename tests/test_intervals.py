@@ -219,14 +219,14 @@ def test_ratio_text_is_str_and_reads_back_under_any_digit_limit():
 
 @pytest.mark.parametrize("text", [
     "1.5/2", "1e3", " 12 ", "12\n", "1/2/3", "1/0", "-3/00", "inf", "nan", "", "/", "1/", "/2",
-    "+", "1/-2", "1/+2", "0x10", "1_000",
+    "+", "1/-2", "1/+2", "0x10", "1_000", "\u0663/\u0664", "\uff11\uff12", "1/\u0662",
 ])
 def test_ratio_reader_refuses_text_the_writer_never_writes(text):
     with pytest.raises(ValueError, match="not a rational p/q"):
         _parse_rat(text)
 
 
-def test_ratio_reader_reads_every_form_the_writer_writes():
+def test_ratio_reader_reads_signs_leading_zeros_and_unreduced_ratios():
     assert [_parse_rat(t) for t in ("0", "-0", "+7", "-12/5", "3/01", "10/4")] == [
         0, 0, 7, F(-12, 5), 3, F(5, 2)]
 

@@ -435,11 +435,7 @@ def _move_end(monkeypatch, theorem, variant, end, by):
             return tuple(pair)
         return row._replace(ends=ends) if (row.theorem, row.variant) == (theorem, variant) else row
 
-    claims = tuple(moved(c) for c in theorems._CLAIMS)
-    monkeypatch.setattr(theorems, "_CLAIMS", claims)
-    monkeypatch.setattr(theorems, "_READINGS", {
-        t: tuple(c for c in claims if c.theorem == t) for t in theorems.THEOREM_IDS
-    })
+    monkeypatch.setattr(theorems, "_CLAIMS", tuple(moved(c) for c in theorems._CLAIMS))
 
 
 @pytest.mark.parametrize("theorem, variant, end, by, first_n", [
