@@ -21,15 +21,15 @@ omitted tail.  Tail bounds:
     and term(K+1).
 
 `enclosures` sums on the dyadic grid 2^-p with integers, not with reduced
-fractions, where p = e*K + GUARD_BITS (e = 2 for the squared families,
-1 otherwise).  Each term's magnitude 2^p / J(k)^e is rounded down into
-the low sum and up into the high sum (for a negative term the pair is
-negated and swapped), and the tail bound is rounded outward onto the
-same grid in integers: shifts of 1, thirds of powers of two, or one
-division by J(K+1)^e.  Endpoints are therefore exact rationals m / 2^p,
-and the interval still contains the limit.  Each enclosure is intersected
-with the previous one, so the sequence stays nested.  `partial_sum`,
-`series_term` and `tail_bound` remain exact.
+fractions, where p = e*K + GUARD_BITS (e = `SeriesFamily.power`: 2 for
+the squared families, 1 otherwise).  Each term's magnitude 2^p / J(k)^e
+is rounded down into the low sum and up into the high sum (for a
+negative term the pair is negated and swapped), and the tail bound is
+rounded outward onto the same grid in integers: shifts of 1, thirds of
+powers of two, or one division by J(K+1)^e.  Endpoints are therefore
+exact rationals m / 2^p, and the interval still contains the limit.  Each
+enclosure is intersected with the previous one, so the sequence stays
+nested.  `partial_sum`, `series_term` and `tail_bound` remain exact.
 
 The rounded terms come from the Lambert expansions, not from one long
 division per term.  With s = (-1)^k, 3 J(k) = 2^k - s, so
@@ -126,18 +126,19 @@ class NeedMoreTermsError(ValueError):
 
 
 class SeriesFamily(str, Enum):
+    """A series family and its traits, set once per member: `alternating`
+    (terms carry (-1)^k), `squared` (J(k) is squared) and `power`, the
+    exponent e of J(k), 2 for the squared families and 1 otherwise."""
+
     RECIP = "recip"
     RECIP_SQUARED = "recip-squared"
     ALT_RECIP = "alt-recip"
     ALT_RECIP_SQUARED = "alt-recip-squared"
 
-    @property
-    def alternating(self) -> bool:
-        return self in (SeriesFamily.ALT_RECIP, SeriesFamily.ALT_RECIP_SQUARED)
-
-    @property
-    def squared(self) -> bool:
-        return self in (SeriesFamily.RECIP_SQUARED, SeriesFamily.ALT_RECIP_SQUARED)
+    def __init__(self, value: str) -> None:
+        self.alternating = value.startswith("alt-")
+        self.squared = value.endswith("-squared")
+        self.power = 1 + self.squared
 
 
 class SeriesSpec(_Record):
@@ -156,9 +157,8 @@ def series_term(spec: SeriesSpec, k: int) -> Fraction:
     """Exact k-th term of the series."""
     if k < 1:
         raise ValueError(f"term index must be >= 1, got {_shown(k)}")
-    denom = J(k) ** 2 if spec.family.squared else J(k)
     num = (-1) ** k if spec.family.alternating else 1
-    return Fraction(num, denom)
+    return Fraction(num, J(k) ** spec.family.power)
 
 
 def partial_sum(spec: SeriesSpec, last: int) -> Fraction:
@@ -269,8 +269,7 @@ def _lambert_floors(family: SeriesFamily, p: int, k0: int, last: int) -> int:
     floor(2^p / J(k)^e) is the integer part of the Lambert expansion plus
     floor(R_k); see the module docstring.
     """
-    squared, alternating = family.squared, family.alternating
-    e = 2 if squared else 1
+    squared, alternating, e = family.squared, family.alternating, family.power
     # integer parts, by j: term j of k is 3 (resp. 9j) sign(k) s^(j-1) 2^(p-kd)
     # with d = j + e - 1, an integer for k <= p // d, and sign(k) s^(j-1) is
     # eps^k with eps = (-1)^(j-1+alt), so the sum over k is geometric
@@ -319,7 +318,7 @@ def _dyadic_bounds(spec: SeriesSpec, last: int) -> tuple[int, int, int]:
     from `_lambert_floors`, and for them (k >= 5, J(k) > 1) the ceiling
     is the floor plus one.
     """
-    power = 2 if spec.family.squared else 1
+    power = spec.family.power
     p = power * last + GUARD_BITS
     one = 1 << p
     alternating = spec.family.alternating

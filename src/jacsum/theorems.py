@@ -258,27 +258,30 @@ def _verdicts(claims: list[_Claim], n: int, max_terms: int | None) -> tuple[Verd
     """Every reading of one claim, its rows `claims`, at n, with disagreeing
     readings flagged.
 
+    Each reading's outcome is collected first; the disagreement stamp is
+    then decided from all of them, and each `Verdict` is built once.
+
     n < 1 is rejected, except by a claim stated from a higher index, which
     answers not-applicable below it.
     """
-    out = []
+    rows = []  # (reading, status, decided, note, expected, enclosure)
     for c in claims:
         if not _covers(c, n):
             if n < 1 and c.min_n == 1:
                 raise ValueError(f"need n >= 1, got {_shown(n)}")
             note = f"stated for n >= {c.min_n}" if n < c.min_n else f"stated for {c.parity} n"
-            out.append(Verdict(c.theorem, n, Status.NOT_APPLICABLE, c.variant, note=note))
+            rows.append((c, Status.NOT_APPLICABLE, None, note, None, None))
             continue
         expected = c.expected(n)
         judge = c.target(n, expected, *c.ends(n, expected))
         judged, _, enc = refine_inverse(SeriesSpec(c.family, n), judge, max_terms=max_terms)
         status, decided, note = judged or judge(None)
-        out.append(Verdict(c.theorem, n, status, c.variant, decided, expected, enc, note=note))
-    if {Status.VERIFIED, Status.REFUTED} <= {v.status for v in out}:
-        stamp = "variants disagree: " + "; ".join(f"{v.variant} {v.status.value}" for v in out)
-        out = [v._replace(discrepancy=True, note=f"{v.note}; {stamp}" if v.note else stamp)
-               for v in out]
-    return tuple(out)
+        rows.append((c, status, decided, note, expected, enc))
+    stamp = ("variants disagree: " + "; ".join(f"{c.variant} {s.value}" for c, s, *_ in rows)
+             if {Status.VERIFIED, Status.REFUTED} <= {row[1] for row in rows} else "")
+    return tuple(Verdict(c.theorem, n, status, c.variant, decided, expected, enc, bool(stamp),
+                         f"{note}; {stamp}" if note and stamp else note or stamp)
+                 for c, status, decided, note, expected, enc in rows)
 
 
 def verify_thm_2_1(n: int, *, max_terms: int | None = None) -> Verdict:

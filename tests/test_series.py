@@ -1,6 +1,8 @@
+import copy
 import functools
 import itertools
 import math
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -45,6 +47,22 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SeriesSpec("no-such-family", 3)
     assert spec("alt-recip", 2).family is SeriesFamily.ALT_RECIP
+
+
+# the paper's four series: (-1)^k in the terms or not, and the exponent e of J(k)
+@pytest.mark.parametrize("value, alternating, squared, power", [
+    ("recip", False, False, 1),
+    ("recip-squared", False, True, 2),
+    ("alt-recip", True, False, 1),
+    ("alt-recip-squared", True, True, 2),
+])
+def test_family_traits(value, alternating, squared, power):
+    member = SeriesFamily(value)
+    assert (member.alternating, member.squared, member.power) == (alternating, squared, power)
+    assert SeriesFamily(member.value) is member
+    for copied in (pickle.loads(pickle.dumps(member)), copy.deepcopy(member)):
+        assert copied is member
+        assert (copied.alternating, copied.squared, copied.power) == (alternating, squared, power)
 
 
 def test_terms_match_oracle():

@@ -70,6 +70,9 @@ def test_thm_2_2_direction_flip_at_three():
     assert proof.status is Status.VERIFIED
     assert proof.enclosure.interval.hi < F(1, 3)
     assert stated.discrepancy and proof.discrepancy
+    stamp = "variants disagree: stated refuted; proof-implied verified"
+    assert stated.note == f"decided floor 6 > J(n-1)J(n) = 3; {stamp}"
+    assert proof.note == f"sum < 1/(J(n-1)J(n)) = 1/3; {stamp}"
 
 
 def test_thm_2_2_spot_floor_at_five():
@@ -94,6 +97,9 @@ def test_thm_3_1_proof_implied_floor():
     assert proof.status is Status.VERIFIED and proof.decided == 7
     assert stated.status is Status.REFUTED and stated.decided == 29
     assert proof.discrepancy and stated.discrepancy
+    stamp = "variants disagree: proof-implied verified; stated refuted"
+    assert proof.note == f"inverse strictly inside (7, 8); {stamp}"
+    assert stated.note == f"squared-series floor 29 != 7; {stamp}"
 
 
 def test_thm_3_1_bracket_recheckable():
