@@ -35,9 +35,14 @@ with exit 64 before any row is made: `seq --from`/`--to` and
 with an exponent beyond MAX_WIDTH_EXPONENT, and `poly` whose values would
 outgrow those of `poly --x 3 --to MAX_SEQ_INDEX` (see `_poly_rows`).
 
-Integer options of any length are read exactly, and integers of any size
-are written in full by the report module, under the interpreter's
-int-to-str digit limit, which nothing here changes.
+Integer options of any length are read exactly by `_integer`, and every
+bounded one has the one type `_between(lo, hi)` built on it, which
+refuses a value outside [lo, hi] by the bound it breaks, quoting both
+through `intervals._shown`: index options take [-MAX, MAX] for their
+command's MAX, and `--max-terms` takes [1, none).  `poly --x` is
+unbounded and takes `_integer` itself.  Integers of any size are written
+in full by the report module, under the interpreter's int-to-str digit
+limit, which nothing here changes.
 """
 
 from __future__ import annotations
@@ -113,27 +118,22 @@ def _integer(text: str) -> int:
     return _parse_rat(text).numerator
 
 
-def _positive_int(text: str) -> int:
-    value = _integer(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1: {_shown(text)}")
-    return value
+def _between(lo: int, hi: int | None = None) -> Callable[[str], int]:
+    """Argument type: an integer from `lo` to `hi`, or from `lo` up when
+    `hi` is None, refused with the bound it breaks.
 
-
-def _at_most(limit: int) -> Callable[[str], int]:
-    """Argument type: an integer no larger than `limit`.
-
-    One below -limit is refused here too: it is as wrong as -1, which the
-    command's range check refuses by quoting it, but may be too long to
-    quote.
+    An index option takes lo = -hi: one below -hi is refused here too.  It
+    is as wrong as -1, which the command's range check refuses, but
+    refusing it while parsing keeps every index a command sees within
+    [-hi, hi], so no command computes with an integer of unbounded length.
     """
 
     def parse(text: str) -> int:
         value = _integer(text)
-        if value > limit:
-            raise argparse.ArgumentTypeError(f"must be <= {limit}: {_shown(text)}")
-        if value < -limit:
-            raise argparse.ArgumentTypeError(f"must be >= -{limit}: {_shown(text)}")
+        if hi is not None and value > hi:
+            raise argparse.ArgumentTypeError(f"must be <= {_shown(hi)}: {_shown(text)}")
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {_shown(lo)}: {_shown(text)}")
         return value
 
     return parse
@@ -148,7 +148,7 @@ def _width_goal(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"width must be finite: {_shown(text)}")
     if abs(decimal.as_tuple().exponent) > MAX_WIDTH_EXPONENT:
         raise argparse.ArgumentTypeError(
-            f"width exponent beyond +-{MAX_WIDTH_EXPONENT}: {_shown(text)}"
+            f"width exponent beyond +-{_shown(MAX_WIDTH_EXPONENT)}: {_shown(text)}"
         )
     value = Fraction(decimal)
     if value <= 0:
@@ -162,41 +162,44 @@ def _build_parser() -> _Parser:
     no state from one call to the next, so `main` reuses it."""
     parser = _Parser(prog="jacsum", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    seq_index, identity_index, series_index = (
+        _between(-m, m) for m in (MAX_SEQ_INDEX, MAX_IDENTITY_INDEX, MAX_SERIES_INDEX)
+    )
 
     seq = sub.add_parser("seq", help="Jacobsthal numbers J(from)..J(to)")
     seq.set_defaults(x=2)
     poly = sub.add_parser("poly", help="Jacobsthal polynomial values at integer x")
     poly.add_argument("--x", type=_integer, required=True)
     for p in (seq, poly):
-        p.add_argument("--from", dest="lo", type=_at_most(MAX_SEQ_INDEX), default=0)
-        p.add_argument("--to", dest="hi", type=_at_most(MAX_SEQ_INDEX), required=True,
+        p.add_argument("--from", dest="lo", type=seq_index, default=0)
+        p.add_argument("--to", dest="hi", type=seq_index, required=True,
                        help=f"last index, at most {MAX_SEQ_INDEX}")
 
     p = sub.add_parser("identities", help="exact identity sweep")
-    p.add_argument("--to", type=_at_most(MAX_IDENTITY_INDEX), default=64,
+    p.add_argument("--to", type=identity_index, default=64,
                    help=f"sweep n = 1..TO, TO at most {MAX_IDENTITY_INDEX}")
-    p.add_argument("--cassini-max", type=_at_most(MAX_IDENTITY_INDEX), default=32,
+    p.add_argument("--cassini-max", type=identity_index, default=32,
                    help=f"Cassini offsets over 1 <= k <= n <= M, M at most {MAX_IDENTITY_INDEX}")
 
     p = sub.add_parser("sum", help="rigorous enclosure of one series")
     p.add_argument("--family", required=True,
                    choices=[f.value for f in SeriesFamily])
-    p.add_argument("--start", type=_at_most(MAX_SERIES_INDEX), required=True,
+    p.add_argument("--start", type=series_index, required=True,
                    help=f"first index, at most {MAX_SERIES_INDEX}")
     p.add_argument("--width", type=_width_goal, default="1e-12",
                    help="finite decimal width goal, parsed exactly, exponent at most "
                         f"{MAX_WIDTH_EXPONENT} in magnitude (default 1e-12)")
-    p.add_argument("--max-terms", type=_positive_int, default=None)
+    p.add_argument("--max-terms", type=_between(1), default=None)
 
     p = sub.add_parser("verify", help="theorem verdicts over an index range")
     p.add_argument("--theorem", required=True, choices=THEOREM_IDS)
-    p.add_argument("--from", dest="lo", type=_at_most(MAX_SERIES_INDEX), required=True)
-    p.add_argument("--to", dest="hi", type=_at_most(MAX_SERIES_INDEX), required=True,
+    p.add_argument("--from", dest="lo", type=series_index, required=True)
+    p.add_argument("--to", dest="hi", type=series_index, required=True,
                    help=f"last index, at most {MAX_SERIES_INDEX}")
     p.add_argument("--parity", choices=("any", "even", "odd"), default="any")
     p.add_argument("--variant", choices=("default", "stated", "proof-implied", "both"),
                    default="default")
-    p.add_argument("--max-terms", type=_positive_int, default=None)
+    p.add_argument("--max-terms", type=_between(1), default=None)
 
     for p in sub.choices.values():  # every command's last option
         p.add_argument("--format", choices=("json", "csv", "plain"), default="plain")
@@ -237,12 +240,12 @@ def _report_rows(args: argparse.Namespace) -> tuple[Iterable[ReportRow | tuple],
     """
     if args.command in ("seq", "poly"):
         if not 0 <= args.lo <= args.hi:
-            raise ValueError(f"need 0 <= from <= to, got {args.lo}..{args.hi}")
+            raise ValueError(f"need 0 <= from <= to, got {_shown(args.lo)}..{_shown(args.hi)}")
         bits = max(2, args.x.bit_length())
         if args.hi * bits > 2 * MAX_SEQ_INDEX:
             raise ValueError(
-                f"need to * max(2, bit length of |x|) <= {2 * MAX_SEQ_INDEX},"
-                f" got {args.hi} * {bits}"
+                f"need to * max(2, bit length of |x|) <= {_shown(2 * MAX_SEQ_INDEX)},"
+                f" got {_shown(args.hi)} * {_shown(bits)}"
             )
         return _poly_rows(args.x, args.lo, args.hi), "sequence"
     if args.command == "identities":

@@ -187,13 +187,18 @@ def _lemma_1_5(J, ns):
         yield n, None, lhs == rhs, lhs, rhs, ""
 
 
+def _disagreement(forms: str, n: int, one: int, other: int) -> RuntimeError:
+    """The error that stops a sweep whose two forms of one value differ at n."""
+    return RuntimeError(f"{forms} disagree at n={_shown(n)}: {_shown(one)} vs {_shown(other)}")
+
+
 def _step_2_1(J, ns):
     for n in ns:
         j0, j1, j2, j3 = J[n], J[n + 1], J[n + 2], J[n + 3]
         diff = j1 * j3 - j0 * j2
         gap = j2 * j3 - 2 * j0 * j3 - j0 * j2
         if (diff > 0) != (gap > 0):
-            raise RuntimeError(f"step2.1 forms disagree at n={n}: {diff} vs {gap}")
+            raise _disagreement("step2.1 forms", n, diff, gap)
         yield n, None, diff > 0 and gap > 0, diff, 0, ""
 
 
@@ -232,9 +237,7 @@ def _step_3_3(J, ns):
             (J[n - 1] << (n + 1)) + b_sq - sign * (1 << (2 * n - 2)) - a_sq - (b_sq << n) + sign
         )
         if direct != substituted:
-            raise RuntimeError(
-                f"step3.3 numerator forms disagree at n={n}: {direct} vs {substituted}"
-            )
+            raise _disagreement("step3.3 numerator forms", n, direct, substituted)
         note = f"value {'<' if direct < 0 else '>=' } 0"
         if n < 5:
             note += "; negativity is claimed only from n=5"
@@ -304,7 +307,7 @@ def _check(ident: str, n: int, k: int | None = None) -> IdentityResult:
     from the closed form; below the first computable n it raises `ValueError`."""
     entry = _CATALOG[ident]
     if n < entry.min_n:
-        raise ValueError(f"{ident} needs n >= {entry.min_n}, got {_shown(n)}")
+        raise ValueError(f"{ident} needs n >= {_shown(entry.min_n)}, got {_shown(n)}")
     return next(_results(_evaluate(entry, _ClosedForm(), range(n, n + 1), k)))
 
 

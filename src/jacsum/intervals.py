@@ -9,11 +9,14 @@ is exact: no floating point enters any verdict.
 The module owns the text of exact numbers.  `int_str` writes an integer
 whatever the interpreter's int-to-str digit limit; `_ratio_str` writes a
 lowest-terms num/den as "p/q", or "p" when q = 1.  It writes every
-enclosure endpoint, width and identity side in a report and every
-rational an error message quotes, through `rat_str`, `_shown`,
-`series._dyadic_str` and `report._side_text`.  `_parse_rat` reads such
-text back and refuses any other text, and `_approx_decimal` writes a
-rational's six-place decimal for plain reports.
+enclosure endpoint, width and identity side in a report, through
+`rat_str`, `series._dyadic_str` and `report._side_text`.  `_shown` is the
+one quoter: every error and warning in jacsum quotes each integer,
+rational or command-line argument it names through `_shown`, which
+writes a long one in short and never raises under the int-to-str digit
+limit.  `_parse_rat` reads report text back and refuses
+any other text, and `_approx_decimal` writes a rational's six-place
+decimal for plain reports.
 
 `_Record` is the small base of jacsum's records, `RatInterval` among
 them: slotted classes that compare, hash, print and pickle field by field.
@@ -117,7 +120,8 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 def _shown(value: int | Fraction | str) -> str:
     """`value` as an error message quotes it, in at most about 60 characters
-    (about 120 for a rational).
+    (about 120 for a rational).  Every error or warning in jacsum that
+    quotes an integer quotes it through here, however long it is.
 
     An int is written as str() writes it while it has at most _ECHO_CHARS
     digits.  A longer one is cut to its leading digits by one division by

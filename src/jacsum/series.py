@@ -181,7 +181,7 @@ def tail_bound(spec: SeriesSpec, last: int) -> RatInterval:
     """Interval guaranteed to contain the omitted remainder beyond `last`."""
     if last < _min_tail_index(spec):
         raise NeedMoreTermsError(
-            f"tail bound for {spec.family.value} needs last >= {_min_tail_index(spec)},"
+            f"tail bound for {spec.family.value} needs last >= {_shown(_min_tail_index(spec))},"
             f" got {_shown(last)}"
         )
     if spec.family is SeriesFamily.RECIP:
@@ -367,7 +367,8 @@ def _rounds(spec: SeriesSpec, max_terms: int | None) -> Iterator[tuple[int, int,
     while True:
         if lo > hi:
             raise ValueError(
-                f"empty enclosure of {spec.family.value} from {_shown(spec.start)} at K = {k}"
+                f"empty enclosure of {spec.family.value} from {_shown(spec.start)}"
+                f" at K = {_shown(k)}"
             )
         yield lo, hi, p, k
         if k >= cap:

@@ -377,7 +377,7 @@ def verify_range(
     ]
     if not out:
         warnings.warn(
-            f"no admissible indices for theorem {theorem} in [{n_lo}, {n_hi}]"
+            f"no admissible indices for theorem {theorem} in [{_shown(n_lo)}, {_shown(n_hi)}]"
             f" with parity {parity}",
             stacklevel=2,
         )

@@ -375,6 +375,69 @@ def test_range_checks_quote_huge_values_in_short():
         sys.set_int_max_str_digits(old)
 
 
+@_needs_digit_limit
+def test_empty_sweep_warning_quotes_huge_indices_in_short():
+    from jacsum import verify_range
+
+    h = 10**5000 + 1  # odd: no reading of theorem 3.1 covers it
+    short = "10000000000000000000... (5001 digits)"
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        with pytest.warns(UserWarning) as caught:
+            assert verify_range("3.1", h, h) == []
+        assert [str(w.message) for w in caught] == [
+            f"no admissible indices for theorem 3.1 in [{short}, {short}] with parity any"
+        ]
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@_needs_digit_limit
+def test_tail_bound_from_a_huge_start_quotes_it_in_short():
+    from jacsum import NeedMoreTermsError, SeriesFamily, SeriesSpec, tail_bound
+
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        for family in SeriesFamily:
+            with pytest.raises(ValueError) as caught:
+                tail_bound(SeriesSpec(family, 10**5000), 3)
+            assert type(caught.value) is NeedMoreTermsError
+            assert str(caught.value) == (
+                f"tail bound for {family.value} needs last >="
+                " 10000000000000000000... (5001 digits), got 3"
+            )
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@_needs_digit_limit
+def test_identity_consistency_errors_quote_huge_forms_in_short():
+    from jacsum.identities import _step_2_1, _step_3_3
+
+    # J values no true J takes, so each entry's two forms disagree:
+    # step2.1's diff = 10^10000 - 1 > 0 and gap = -(10^5000 + 1) < 0;
+    # step3.3's direct = 3 * 10^5000 + 2, substituted = 64 * 10^2500 + 224 - 10^5000
+    checks = [
+        (_step_2_1, {5: 1, 6: 10**5000, 7: 1, 8: 10**5000},
+         "step2.1 forms disagree at n=5: 99999999999999999999... (10000 digits)"
+         " vs -10000000000000000000... (5001 digits)"),
+        (_step_3_3, {4: 10**2500, 5: 1, 6: 2},
+         "step3.3 numerator forms disagree at n=5: 30000000000000000000... (5001 digits)"
+         " vs -99999999999999999999... (5000 digits)"),
+    ]
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        for step, J, message in checks:
+            with pytest.raises(RuntimeError) as caught:
+                next(step(J, range(5, 6)))
+            assert str(caught.value) == message
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 @given(st.fractions(max_denominator=10**30))
 def test_shown_quotes_rationals_as_str_while_short(q):
     shown = _shown(q)
