@@ -12,8 +12,10 @@ Exit codes: 0 all checks verified/decided, 2 at least one refutation or
 failed identity, 3 at least one undecided result (refutation dominates),
 64 usage error, 141 (128 + SIGPIPE) the reader of stdout closed it before
 the report ended, as `| head` does; nothing more is written then, not
-even to stderr.  Output is deterministic: identical invocations produce
-byte-identical reports.
+even to stderr.  argparse ends a usage error itself, with its status 2,
+which `main` returns as 64 so that it never reads as a refutation.
+Output is deterministic: identical invocations produce byte-identical
+reports.
 
 Every report is streamed: each command checks its arguments, then hands
 its rows, in report order, to `report.write_report`, which writes each row
@@ -101,14 +103,6 @@ MAX_IDENTITY_INDEX = 10_000
 MAX_SERIES_INDEX = 65_536
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse with the usage-error exit code fixed at 64."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
 def _integer(text: str) -> int:
     """Argument type: an integer of any length, parsed exactly.  Its text,
     checked against `intervals._INTEGER`, is read by `intervals._parse_rat`,
@@ -157,11 +151,11 @@ def _width_goal(text: str) -> Fraction:
 
 
 @functools.cache
-def _build_parser() -> _Parser:
+def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: `parse_args` keeps
     no state from one call to the next, so `main` reuses it."""
-    parser = _Parser(prog="jacsum", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    parser = argparse.ArgumentParser(prog="jacsum", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
     seq_index, identity_index, series_index = (
         _between(-m, m) for m in (MAX_SEQ_INDEX, MAX_IDENTITY_INDEX, MAX_SERIES_INDEX)
     )
@@ -210,8 +204,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    except SystemExit as exc:  # argparse's usage error is status 2
+        return EXIT_USAGE if exc.code == 2 else exc.code or 0
     try:
         rows, kind = _report_rows(args)
     except ValueError as exc:

@@ -11,10 +11,11 @@ whatever the interpreter's int-to-str digit limit; `_ratio_str` writes a
 lowest-terms num/den as "p/q", or "p" when q = 1.  It writes every
 enclosure endpoint, width and identity side in a report, through
 `rat_str`, `series._dyadic_str` and `report._side_text`.  `_shown` is the
-one quoter: every error and warning in jacsum quotes each integer,
-rational or command-line argument it names through `_shown`, which
-writes a long one in short and never raises under the int-to-str digit
-limit.  `_parse_rat` reads report text back and refuses
+one quoter: it quotes any value, and every error and warning in jacsum
+names each value it quotes, an integer, a rational, a command-line
+argument or whatever a caller passed, through `_shown` and no other way.
+It writes a long value in short and never raises under the int-to-str
+digit limit.  `_parse_rat` reads report text back and refuses
 any other text, and `_approx_decimal` writes a rational's six-place
 decimal for plain reports.
 
@@ -118,17 +119,22 @@ _ECHO_CHARS = 20
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
-def _shown(value: int | Fraction | str) -> str:
+def _shown(value: object) -> str:
     """`value` as an error message quotes it, in at most about 60 characters
-    (about 120 for a rational).  Every error or warning in jacsum that
-    quotes an integer quotes it through here, however long it is.
+    (about 120 for a rational): the one way an error or warning in jacsum
+    names a value, whatever the value is and however long.
 
     An int is written as str() writes it while it has at most _ECHO_CHARS
     digits.  A longer one is cut to its leading digits by one division by
     a power of ten, so it is never converted whole, whatever the
     interpreter's int-to-str digit limit.  A `Fraction` is written as
-    "p/q" like str() writes it, with p and q each quoted as an int.  Text,
-    such as a command-line argument, is quoted with repr().
+    "p/q" like str() writes it, with p and q each quoted as an int.  Any
+    other value, text such as a command-line argument among them, is
+    quoted as repr() writes it.  Past _ECHO_CHARS characters, of the text
+    itself or of another value's repr(), it is cut to the repr() of its
+    first _ECHO_CHARS characters and its length, in digits for text of
+    digits.  A value whose repr() would pass the int-to-str digit limit,
+    such as a list holding a long int, is named by its type alone.
     """
     if isinstance(value, Fraction):
         return _ratio_str(value.numerator, value.denominator, _shown)
@@ -141,13 +147,17 @@ def _shown(value: int | Fraction | str) -> str:
             return str(value)
         sign = "-" if value < 0 else ""
         return f"{sign}{head[:_ECHO_CHARS]}... ({len(head) + drop} digits)"
-    if len(value) <= _ECHO_CHARS:
+    try:
+        text = value if isinstance(value, str) else repr(value)
+    except ValueError:  # repr() of a container holding an int past the digit limit
+        return f"<{type(value).__qualname__} object>"
+    if len(text) <= _ECHO_CHARS:
         return repr(value)
-    if _INTEGER.fullmatch(value):
-        size = f"{len(value.lstrip('+-'))} digits"
+    if _INTEGER.fullmatch(text):
+        size = f"{len(text.lstrip('+-'))} digits"
     else:
-        size = f"{len(value)} characters"
-    return f"{value[:_ECHO_CHARS]!r}... ({size})"
+        size = f"{len(text)} characters"
+    return f"{text[:_ECHO_CHARS]!r}... ({size})"
 
 
 def rat_str(value: RatLike) -> str:

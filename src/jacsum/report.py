@@ -51,7 +51,7 @@ import re
 from collections.abc import Callable, Iterable, Iterator
 from typing import TYPE_CHECKING, TextIO
 
-from .intervals import _Record, _approx_decimal, _parse_rat, _ratio_str, int_str, rat_str
+from .intervals import _Record, _approx_decimal, _parse_rat, _ratio_str, _shown, int_str, rat_str
 
 if TYPE_CHECKING:  # annotations only: importing the report loads no other layer
     from fractions import Fraction
@@ -397,9 +397,9 @@ def write_report(rows: Iterable, fmt: str, kind: str, out: TextIO) -> int:
     try:
         (before, between, after, empty), formatters, _ = _FORMATS[fmt]
     except KeyError:
-        raise ValueError(f"unknown format {fmt!r}") from None
+        raise ValueError(f"unknown format {_shown(fmt)}") from None
     if kind not in CSV_HEADERS:
-        raise ValueError(f"unknown row kind {kind!r}")
+        raise ValueError(f"unknown row kind {_shown(kind)}")
     head = ",".join(CSV_HEADERS[kind]) + "\n" if fmt == "csv" else ""
     key = "verdict" if kind == "identity" else "status"
     write, seen, sep = out.write, set(), head + before
@@ -408,7 +408,7 @@ def write_report(rows: Iterable, fmt: str, kind: str, out: TextIO) -> int:
         # that `_identity_texts` made is written as it is
         if type(row) is ReportRow:
             if row.kind != kind:
-                raise ValueError(f"{row.kind!r} row in a {kind!r} report")
+                raise ValueError(f"{_shown(row.kind)} row in a {_shown(kind)} report")
             row = row.payload.get(key), formatters[kind](*row.payload.values())
         status, text = row
         seen.add(status)

@@ -41,10 +41,7 @@ def jacobsthal_range(lo: int, hi: int) -> list[int]:
         raise ValueError(f"need 0 <= lo <= hi, got lo={_shown(lo)}, hi={_shown(hi)}")
     a, b = jacobsthal(lo), jacobsthal(lo + 1)
     values = []
-    for n in range(lo, hi + 1):
-        if __debug__:
-            # redundant closed-form path catches recurrence faults
-            assert a == jacobsthal(n)
+    for _ in range(lo, hi + 1):
         values.append(a)
         a, b = b, b + 2 * a
     return values

@@ -477,7 +477,7 @@ def enclose_inverse(
     rounding of the reciprocal interval is decided, or the cap is reached.
     """
     if mode not in ("floor", "ceil"):
-        raise ValueError(f"mode must be 'floor' or 'ceil', got {mode!r}")
+        raise ValueError(f"mode must be 'floor' or 'ceil', got {_shown(mode)}")
     decide = Reciprocal.floor if mode == "floor" else Reciprocal.ceil
     value, view, best = refine_inverse(spec, decide, max_terms=max_terms)
     inverse = None if view is None else RatInterval(

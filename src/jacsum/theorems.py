@@ -241,7 +241,7 @@ THEOREM_IDS = tuple(dict.fromkeys(c.theorem for c in _CLAIMS))
 def _claims(theorem: str) -> list[_Claim]:
     claims = [c for c in _CLAIMS if c.theorem == theorem]
     if not claims:
-        raise ValueError(f"unknown theorem id {theorem!r}; expected one of {THEOREM_IDS}")
+        raise ValueError(f"unknown theorem id {_shown(theorem)}; expected one of {THEOREM_IDS}")
     return claims
 
 
@@ -362,12 +362,12 @@ def verify_range(
     if not 1 <= n_lo <= n_hi:
         raise ValueError(f"need 1 <= n_lo <= n_hi, got {_shown(n_lo)}..{_shown(n_hi)}")
     if parity not in ("any", "even", "odd"):
-        raise ValueError(f"parity must be any/even/odd, got {parity!r}")
+        raise ValueError(f"parity must be any/even/odd, got {_shown(parity)}")
     if variant == "default":
         variant = default_variant(theorem)
     claims = _claims(theorem)
     if variant != "both" and variant not in [c.variant for c in claims]:
-        raise ValueError(f"theorem {theorem} has no {variant!r} variant")
+        raise ValueError(f"theorem {theorem} has no {_shown(variant)} variant")
 
     out = [
         v for n in range(n_lo, n_hi + 1)

@@ -1,9 +1,12 @@
+import io
 import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -333,6 +336,31 @@ def test_shown_quotes_the_leading_digits_and_the_length(value):
         assert shown == f"{text[:len(text) - len(digits) + 20]}... ({len(digits)} digits)"
 
 
+@given(st.one_of(
+    st.floats(),
+    st.none(),
+    st.lists(st.integers(-10**6, 10**6), max_size=40),
+    st.decimals(),
+    st.text(max_size=60),
+    st.from_regex(r"[+-]?[0-9]{10,40}", fullmatch=True),
+))
+def test_shown_quotes_any_other_value_as_repr_writes_it(value):
+    text = value if isinstance(value, str) else repr(value)
+    shown = _shown(value)
+    if len(text) <= 20:
+        assert shown == repr(value)
+    elif isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+", value):
+        assert shown == f"{text[:20]!r}... ({len(text.lstrip('+-'))} digits)"
+    else:
+        assert shown == f"{text[:20]!r}... ({len(text)} characters)"
+
+
+def test_shown_examples():
+    assert [_shown(v) for v in (-1.5, None, "sum", [1] * 50, Decimal("2.5"))] == [
+        "-1.5", "None", "'sum'", "'[1, 1, 1, 1, 1, 1, 1'... (150 characters)", "Decimal('2.5')",
+    ]
+
+
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="interpreter has no int-to-str digit limit")
 def test_range_checks_quote_huge_values_in_short():
@@ -373,6 +401,71 @@ def test_range_checks_quote_huge_values_in_short():
             assert len(message) <= len(prefix) + 60, message
     finally:
         sys.set_int_max_str_digits(old)
+
+
+def test_range_checks_quote_a_float_below_the_bound_as_repr_writes_it():
+    from jacsum import (
+        Enclosure, NeedMoreTermsError, SeriesSpec, enclosures, identity_sweep, jacobsthal,
+        jacobsthal_poly, jacobsthal_range, partial_sum, series_term, tail_bound,
+        verify_range, verify_thm_3_1,
+    )
+
+    spec = SeriesSpec("recip", 3)
+    checks = [
+        (lambda: jacobsthal(-1.5), "index must be >= 0, got -1.5"),
+        (lambda: jacobsthal_range(0.5, 0), "need 0 <= lo <= hi, got lo=0.5, hi=0"),
+        (lambda: jacobsthal_poly(-1.5, 2), "index must be >= 0, got -1.5"),
+        (lambda: SeriesSpec("recip", 0.5), "start must be >= 1, got 0.5"),
+        (lambda: series_term(spec, 0.5), "term index must be >= 1, got 0.5"),
+        (lambda: partial_sum(spec, 1.5), "last index 1.5 is below start 3"),
+        (lambda: tail_bound(spec, 1.5), "tail bound for recip needs last >= 3, got 1.5"),
+        (lambda: next(enclosures(spec, max_terms=0.5)), "max_terms must be >= 1, got 0.5"),
+        (lambda: Enclosure(spec, 1, 2, -0.5, 9),
+         "need p >= 0 and lo <= hi, got lo=1, hi=2, p=-0.5"),
+        (lambda: verify_range("3.1", 0.5, 2), "need 1 <= n_lo <= n_hi, got 0.5..2"),
+        (lambda: verify_thm_3_1(-0.5), "need n >= 1, got -0.5"),
+        (lambda: identity_sweep(0.5, 3), "need max_n >= 1, got 0.5"),
+    ]
+    for check, message in checks:
+        with pytest.raises(ValueError) as caught:
+            check()
+        want = NeedMoreTermsError if message.startswith("tail bound") else ValueError
+        assert type(caught.value) is want, message
+        assert str(caught.value) == message
+
+
+@_needs_digit_limit
+def test_text_arguments_quote_a_huge_int_in_short():
+    from jacsum import SeriesSpec, enclose_inverse, verify_range
+    from jacsum.report import ReportRow, write_report
+
+    h = 10**5000
+    short = "10000000000000000000... (5001 digits)"
+    spec, out = SeriesSpec("recip", 3), io.StringIO()
+    checks = [
+        (lambda: verify_range(h, 1, 2),
+         f"unknown theorem id {short}; expected one of ('2.1', '2.2', '3.1', '3.2', '3.3')"),
+        (lambda: verify_range([h], 1, 2),
+         "unknown theorem id <list object>; expected one of ('2.1', '2.2', '3.1', '3.2', '3.3')"),
+        (lambda: verify_range("3.1", 1, 2, parity=h), f"parity must be any/even/odd, got {short}"),
+        (lambda: verify_range("3.1", 1, 2, variant=h), f"theorem 3.1 has no {short} variant"),
+        (lambda: enclose_inverse(spec, h), f"mode must be 'floor' or 'ceil', got {short}"),
+        (lambda: write_report([], h, "sum", out), f"unknown format {short}"),
+        (lambda: write_report([], "json", h, out), f"unknown row kind {short}"),
+        (lambda: write_report([ReportRow(h, {})], "json", "sum", out),
+         f"{short} row in a 'sum' report"),
+    ]
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        for check, message in checks:
+            with pytest.raises(ValueError) as caught:
+                check()
+            assert type(caught.value) is ValueError, message
+            assert str(caught.value) == message
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert out.getvalue() == ""
 
 
 @_needs_digit_limit
